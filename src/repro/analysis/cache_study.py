@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.dnb import reuse_distance_table, run_dnb
-from repro.core.reuse_cache import POLICIES, sweep_cache_sizes
+from repro.core.reuse_cache import POLICIES, TemporalReuseSimulator, sweep_cache_sizes
 from repro.gaussians import project
 from repro.gpu.specs import GBU_SPEC
 from repro.scenes import build_scene
@@ -106,10 +106,12 @@ def compare_policies(
     spec = CATALOG[spec_or_name] if isinstance(spec_or_name, str) else spec_or_name
     trace, tiles = _frame_trace(spec, detail=detail)
     lines = capacity_bytes // GBU_SPEC.feature_bytes
-    rates = {}
-    for name, cls in POLICIES.items():
-        report = cls(lines, GBU_SPEC.feature_bytes).simulate(trace, tiles)
-        rates[name] = report.hit_rate
+    rates = {
+        name: TemporalReuseSimulator(lines, GBU_SPEC.feature_bytes, name)
+        .observe_frame(trace, tiles)
+        .report.hit_rate
+        for name in POLICIES
+    }
     return PolicyComparison(scene=spec.name, hit_rates=rates)
 
 

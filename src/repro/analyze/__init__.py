@@ -14,9 +14,9 @@ to be enforced only by hand-written tests and reviewer vigilance:
    content-cache :class:`~repro.stream.content_cache.CachedFrame`\\ s)
    must never be mutated in place after construction.
 
-This package machine-checks all three (plus the import-hygiene lints
-that used to live only in ``scripts/lint.py``) as a dependency-free
-AST/dataflow framework:
+This package machine-checks all three (plus the import-hygiene lints,
+the offline mirror of ruff) as a dependency-free AST/dataflow
+framework:
 
 * :mod:`repro.analyze.findings` — the :class:`Finding` record every
   rule emits (rule id, severity, file:line, message, fix hint);

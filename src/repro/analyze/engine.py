@@ -25,8 +25,8 @@ from repro.analyze.project import Project
 from repro.analyze.registry import Rule, all_rules
 
 #: Default scan roots, repository-relative.  The hygiene rules look at
-#: everything (mirroring the old ``scripts/lint.py`` default paths);
-#: invariant rules self-restrict to sim-scoped modules (``repro.*``).
+#: everything; invariant rules self-restrict to sim-scoped modules
+#: (``repro.*``).
 DEFAULT_PATHS = ("src", "benchmarks", "scripts", "tests", "examples")
 
 

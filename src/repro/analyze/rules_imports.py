@@ -1,8 +1,8 @@
 """Import/definition hygiene lints (IMP0xx).
 
 The offline mirror of the ruff gate, folded into the analysis
-framework (``scripts/lint.py`` is now a thin shim over these rules so
-``tests/test_lint.py`` and CI keep their interface):
+framework (``tests/analyze/test_self_check.py`` runs them over the
+live tree in the tier-1 suite):
 
 ``IMP001`` — **unused import** (ruff ``F401``).  A name bound by an
 ``import``/``from … import`` statement that is never loaded in the
@@ -50,9 +50,9 @@ def _imported_names(node: ast.Import | ast.ImportFrom) -> list[tuple[str, str]]:
 def unused_imports(tree: ast.Module) -> list[tuple[int, str, str]]:
     """``(line, bound name, display name)`` of unused imports in ``tree``.
 
-    Mirrors the historical ``scripts/lint.py`` semantics exactly:
-    ``__future__`` imports are exempt, and names re-exported as
-    strings in ``__all__`` count as used.
+    Mirrors ruff's ``F401`` semantics: ``__future__`` imports are
+    exempt, and names re-exported as strings in ``__all__`` count as
+    used.
     """
     imports: dict[str, tuple[int, str]] = {}
     for node in ast.walk(tree):

@@ -237,7 +237,7 @@ class GBUDevice:
             Warm cross-frame reuse-cache state (streaming mode).  When
             given, the frame's feature traffic runs through the
             persistent :class:`TemporalReuseSimulator` instead of a
-            cold per-frame cache; build one with
+            fresh (cold, single-frame) one; build one with
             :meth:`new_cache_state` and reuse it across the frames of
             one stream session.
         feature_ids:
@@ -294,10 +294,7 @@ class GBUDevice:
             cache_sample = cache_state.observe_frame(stable, tile_of_access)
             cache = cache_sample.report
         else:
-            capacity = self.spec.cache_lines if self.config.use_cache else 0
-            cache = POLICIES[self.config.cache_policy](
-                capacity, self.spec.feature_bytes
-            ).simulate(trace, tile_of_access)
+            cache = self.new_cache_state().observe_frame(trace, tile_of_access).report
 
         # --- Paper-scale seconds ---
         # With N tile shards, N engines blend disjoint tile subsets in

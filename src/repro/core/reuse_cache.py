@@ -14,20 +14,17 @@ This module simulates the RD policy together with LRU and FIFO
 baselines used by the ablation study, and provides the size sweep of
 Fig. 17.
 
-Two simulation modes are provided:
-
-* **Cold (single frame)** — :class:`ReuseDistanceCache` /
-  :class:`LRUCache` / :class:`FIFOCache` start from an empty cache,
-  exactly as the paper evaluates one frame in isolation.
-* **Temporal (streaming)** — :class:`TemporalReuseSimulator` keeps the
-  resident set alive *across* frames, modeling a head-tracked stream
-  where consecutive frames touch largely overlapping Gaussian sets.
-  Lines carried over from earlier frames serve *inter-frame* hits that
-  a cold cache would miss; per-frame and cumulative hit rates are
-  reported so serving layers (``repro.stream``) can quantify
-  cross-frame reuse.  Callers must key the trace by a frame-stable
-  Gaussian identity (e.g. ``Projected2D.source_index``) — per-frame
-  visible indices are not comparable across frames.
+One simulator, :class:`TemporalReuseSimulator`, implements all three
+policies.  It keeps the resident set alive *across* frames, modeling a
+head-tracked stream where consecutive frames touch largely overlapping
+Gaussian sets: lines carried over from earlier frames serve
+*inter-frame* hits, and per-frame and cumulative counters let serving
+layers (``repro.stream``) quantify cross-frame reuse.  The paper's
+cold, single-frame number is simply the first frame of a fresh
+simulator — the cache starts empty, exactly as the paper evaluates one
+frame in isolation.  Across frames, callers must key the trace by a
+frame-stable Gaussian identity (e.g. ``Projected2D.source_index``) —
+per-frame visible indices are not comparable across frames.
 """
 
 from __future__ import annotations
@@ -195,122 +192,7 @@ def next_use_tiles(trace: np.ndarray, tile_of_access: np.ndarray) -> np.ndarray:
     return next_use
 
 
-class ReuseDistanceCache:
-    """The paper's cache: evict the line whose precomputed next use is
-    farthest in the tile traversal (optimal at tile granularity).
-
-    Implementation notes: a lazy max-heap keyed by next-use tile holds
-    eviction candidates; stale entries (superseded by a hit's Step-4
-    update) are skipped on pop.  A global tile counter mirrors the
-    hardware's subtract-and-compare (Fig. 12b), though simulating with
-    absolute tile indices is equivalent.
-    """
-
-    def __init__(self, capacity_lines: int, bytes_per_line: int = 32) -> None:
-        if capacity_lines < 0:
-            raise ValidationError("capacity cannot be negative")
-        self.capacity_lines = capacity_lines
-        self.bytes_per_line = bytes_per_line
-
-    def simulate(
-        self, trace: np.ndarray, tile_of_access: np.ndarray
-    ) -> CacheReport:
-        _validate_trace(trace, tile_of_access)
-        n = trace.shape[0]
-        if self.capacity_lines == 0:
-            return CacheReport(n, 0, n, 0, self.bytes_per_line)
-
-        next_use = next_use_tiles(trace, tile_of_access)
-        resident: dict[int, float] = {}
-        heap: list[tuple[float, int]] = []
-        hits = 0
-        for i in range(n):
-            g = int(trace[i])
-            nu = float(next_use[i])
-            if g in resident:
-                hits += 1
-                # Step 4: refresh the line's reuse distance.
-                resident[g] = nu
-                heapq.heappush(heap, (-nu, g))
-                continue
-            # Miss: evict the farthest-reuse line if full (Steps 2-3).
-            if len(resident) >= self.capacity_lines:
-                while heap:
-                    neg_nu, victim = heapq.heappop(heap)
-                    if victim in resident and resident[victim] == -neg_nu:
-                        del resident[victim]
-                        break
-                else:
-                    raise SimulationError("eviction heap exhausted with full cache")
-            resident[g] = nu
-            heapq.heappush(heap, (-nu, g))
-        return CacheReport(n, hits, n - hits, self.capacity_lines, self.bytes_per_line)
-
-
-class LRUCache:
-    """Least-recently-used baseline (what a generic cache would do)."""
-
-    def __init__(self, capacity_lines: int, bytes_per_line: int = 32) -> None:
-        if capacity_lines < 0:
-            raise ValidationError("capacity cannot be negative")
-        self.capacity_lines = capacity_lines
-        self.bytes_per_line = bytes_per_line
-
-    def simulate(
-        self, trace: np.ndarray, tile_of_access: np.ndarray | None = None
-    ) -> CacheReport:
-        n = trace.shape[0]
-        if self.capacity_lines == 0:
-            return CacheReport(n, 0, n, 0, self.bytes_per_line)
-        # dict preserves insertion order: re-inserting on touch gives LRU.
-        resident: dict[int, None] = {}
-        hits = 0
-        for i in range(n):
-            g = int(trace[i])
-            if g in resident:
-                hits += 1
-                del resident[g]
-            elif len(resident) >= self.capacity_lines:
-                oldest = next(iter(resident))
-                del resident[oldest]
-            resident[g] = None
-        return CacheReport(n, hits, n - hits, self.capacity_lines, self.bytes_per_line)
-
-
-class FIFOCache:
-    """First-in-first-out baseline."""
-
-    def __init__(self, capacity_lines: int, bytes_per_line: int = 32) -> None:
-        if capacity_lines < 0:
-            raise ValidationError("capacity cannot be negative")
-        self.capacity_lines = capacity_lines
-        self.bytes_per_line = bytes_per_line
-
-    def simulate(
-        self, trace: np.ndarray, tile_of_access: np.ndarray | None = None
-    ) -> CacheReport:
-        n = trace.shape[0]
-        if self.capacity_lines == 0:
-            return CacheReport(n, 0, n, 0, self.bytes_per_line)
-        resident: dict[int, None] = {}
-        hits = 0
-        for i in range(n):
-            g = int(trace[i])
-            if g in resident:
-                hits += 1
-                continue
-            if len(resident) >= self.capacity_lines:
-                oldest = next(iter(resident))
-                del resident[oldest]
-            resident[g] = None
-        return CacheReport(n, hits, n - hits, self.capacity_lines, self.bytes_per_line)
-
-
-POLICIES = {
-    "reuse_distance": ReuseDistanceCache,
-    "lru": LRUCache,
-    "fifo": FIFOCache,
-}
+POLICIES = ("reuse_distance", "lru", "fifo")
 
 
 @dataclass(frozen=True)
@@ -378,12 +260,12 @@ class TemporalCacheState:
 
 
 class TemporalReuseSimulator:
-    """Streaming (cross-frame) mode of the Gaussian Reuse Cache.
+    """The Gaussian Reuse Cache, simulated frame by frame.
 
     The simulator owns the resident set and is fed one frame trace at a
     time through :meth:`observe_frame`.  Frame 0 starts cold, so its
-    report equals the single-frame simulation; every later frame starts
-    from the previous frame's resident lines.
+    report is the paper's single-frame simulation; every later frame
+    starts from the previous frame's resident lines.
 
     For the reuse-distance policy, carried lines are re-keyed at the
     start of every frame with their *first* use tile in the incoming
@@ -412,7 +294,6 @@ class TemporalReuseSimulator:
         self.bytes_per_line = bytes_per_line
         self.policy = policy
         self._resident: dict[int, float] = {}
-        self._samples: list[FrameCacheSample] = []
         self._frames_observed = 0
         self._cum_accesses = 0
         self._cum_hits = 0
@@ -421,9 +302,8 @@ class TemporalReuseSimulator:
     # State
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Drop all resident lines and frame history (cold restart)."""
+        """Drop all resident lines and counters (cold restart)."""
         self._resident.clear()
-        self._samples.clear()
         self._frames_observed = 0
         self._cum_accesses = 0
         self._cum_hits = 0
@@ -460,9 +340,8 @@ class TemporalReuseSimulator:
         """Restore a snapshot taken by :meth:`export_state`.
 
         The snapshot must come from a simulator with the same policy
-        and geometry; local per-frame samples are discarded (they
-        belong to the exporting instance) while the cumulative
-        counters continue from the snapshot.
+        and geometry; the cumulative counters continue from the
+        snapshot.
         """
         if state.policy != self.policy:
             raise ValidationError(
@@ -485,20 +364,9 @@ class TemporalReuseSimulator:
         # Values are irrelevant across a frame boundary (see class
         # docstring); only membership and order must survive.
         self._resident = {int(g): 0.0 for g in state.resident_ids}
-        self._samples = []
         self._frames_observed = state.frames_observed
         self._cum_accesses = state.cumulative_accesses
         self._cum_hits = state.cumulative_hits
-
-    @property
-    def samples(self) -> list[FrameCacheSample]:
-        """Per-frame samples observed by this instance (oldest first).
-
-        After :meth:`import_state` only post-restore frames appear
-        here; the pre-restore history lives in the cumulative
-        counters.
-        """
-        return list(self._samples)
 
     @property
     def frames_observed(self) -> int:
@@ -514,16 +382,6 @@ class TemporalReuseSimulator:
             return 0.0
         return self._cum_hits / self._cum_accesses
 
-    @property
-    def cold_hit_rate(self) -> float:
-        """Frame 0's hit rate — the single-frame (cold cache) baseline."""
-        if not self._samples:
-            return 0.0
-        return self._samples[0].report.hit_rate
-
-    def per_frame_hit_rates(self) -> list[float]:
-        return [s.report.hit_rate for s in self._samples]
-
     # ------------------------------------------------------------------
     # Frame observation
     # ------------------------------------------------------------------
@@ -534,39 +392,37 @@ class TemporalReuseSimulator:
 
         ``trace`` must be keyed by a frame-stable Gaussian identity;
         ``tile_of_access`` gives the traversal-order tile of each
-        access, as in the cold simulations.
+        access.
         """
         _validate_trace(trace, tile_of_access)
-        n = trace.shape[0]
         if self.capacity_lines == 0:
-            report = CacheReport(n, 0, n, 0, self.bytes_per_line)
-            return self._record(report, carried_hits=0)
-
-        if self.policy == "reuse_distance":
-            report, carried = self._observe_rd(trace, tile_of_access)
-        elif self.policy == "lru":
-            report, carried = self._observe_lru(trace)
-        else:  # fifo
-            report, carried = self._observe_fifo(trace)
-        return self._record(report, carried_hits=carried)
-
-    def _record(self, report: CacheReport, carried_hits: int) -> FrameCacheSample:
+            hits = carried = 0
+        elif self.policy == "reuse_distance":
+            hits, carried = self._observe_rd(trace, tile_of_access)
+        else:
+            hits, carried = self._observe_order(trace)
+        n = trace.shape[0]
+        self._cum_accesses += n
+        self._cum_hits += hits
         sample = FrameCacheSample(
             frame=self._frames_observed,
-            report=report,
-            carried_hits=carried_hits,
-            cumulative_accesses=self._cum_accesses + report.accesses,
-            cumulative_hits=self._cum_hits + report.hits,
+            report=CacheReport(
+                n, hits, n - hits, self.capacity_lines, self.bytes_per_line
+            ),
+            carried_hits=carried,
+            cumulative_accesses=self._cum_accesses,
+            cumulative_hits=self._cum_hits,
         )
-        self._samples.append(sample)
         self._frames_observed += 1
-        self._cum_accesses = sample.cumulative_accesses
-        self._cum_hits = sample.cumulative_hits
         return sample
+
+    # Each loop returns the frame's ``(hits, carried_hits)``.  A hit on
+    # a line's first touch this frame can only be served by a line
+    # resident before the frame began: that is a carried hit.
 
     def _observe_rd(
         self, trace: np.ndarray, tile_of_access: np.ndarray
-    ) -> tuple[CacheReport, int]:
+    ) -> tuple[int, int]:
         n = trace.shape[0]
         next_use = next_use_tiles(trace, tile_of_access)
         # Re-key carried lines with their first use in this frame.
@@ -589,11 +445,15 @@ class TemporalReuseSimulator:
                 hits += 1
                 if g not in touched:
                     carried += 1
-                touched.add(g)
+                    touched.add(g)
+                # Step 4: refresh the line's reuse distance.
                 resident[g] = nu
                 heapq.heappush(heap, (-nu, g))
                 continue
             touched.add(g)
+            # Miss: evict the farthest-reuse line if full (Steps 2-3).
+            # Stale heap entries (superseded by a hit's refresh) are
+            # skipped on pop.
             if len(resident) >= self.capacity_lines:
                 while heap:
                     neg_nu, victim = heapq.heappop(heap)
@@ -605,57 +465,33 @@ class TemporalReuseSimulator:
             resident[g] = nu
             heapq.heappush(heap, (-nu, g))
         self._resident = resident
-        return (
-            CacheReport(n, hits, n - hits, self.capacity_lines, self.bytes_per_line),
-            carried,
-        )
+        return hits, carried
 
-    def _observe_lru(self, trace: np.ndarray) -> tuple[CacheReport, int]:
-        n = trace.shape[0]
+    def _observe_order(self, trace: np.ndarray) -> tuple[int, int]:
+        """LRU and FIFO: evict the oldest entry of the backing dict.
+        An LRU hit re-inserts its line as the newest; FIFO keeps
+        arrival order."""
         resident = self._resident
+        lru = self.policy == "lru"
         hits = 0
         carried = 0
         touched: set[int] = set()
-        for i in range(n):
+        for i in range(trace.shape[0]):
             g = int(trace[i])
             if g in resident:
                 hits += 1
                 if g not in touched:
                     carried += 1
-                del resident[g]
-            elif len(resident) >= self.capacity_lines:
-                oldest = next(iter(resident))
-                del resident[oldest]
-            touched.add(g)
-            resident[g] = 0.0
-        return (
-            CacheReport(n, hits, n - hits, self.capacity_lines, self.bytes_per_line),
-            carried,
-        )
-
-    def _observe_fifo(self, trace: np.ndarray) -> tuple[CacheReport, int]:
-        n = trace.shape[0]
-        resident = self._resident
-        hits = 0
-        carried = 0
-        touched: set[int] = set()
-        for i in range(n):
-            g = int(trace[i])
-            if g in resident:
-                hits += 1
-                if g not in touched:
-                    carried += 1
-                touched.add(g)
+                    touched.add(g)
+                if lru:
+                    del resident[g]
+                    resident[g] = 0.0
                 continue
-            if len(resident) >= self.capacity_lines:
-                oldest = next(iter(resident))
-                del resident[oldest]
             touched.add(g)
+            if len(resident) >= self.capacity_lines:
+                del resident[next(iter(resident))]
             resident[g] = 0.0
-        return (
-            CacheReport(n, hits, n - hits, self.capacity_lines, self.bytes_per_line),
-            carried,
-        )
+        return hits, carried
 
 
 def sweep_cache_sizes(
@@ -665,11 +501,11 @@ def sweep_cache_sizes(
     bytes_per_line: int = 32,
     policy: str = "reuse_distance",
 ) -> dict[int, CacheReport]:
-    """Hit rate across cache capacities (Fig. 17's x-axis)."""
-    if policy not in POLICIES:
-        raise ValidationError(f"unknown policy '{policy}'")
-    results = {}
-    for size in sizes_bytes:
-        cache = POLICIES[policy](size // bytes_per_line, bytes_per_line)
-        results[size] = cache.simulate(trace, tile_of_access)
-    return results
+    """Hit rate across cache capacities (Fig. 17's x-axis): one cold
+    frame of a fresh simulator per capacity."""
+    return {
+        size: TemporalReuseSimulator(size // bytes_per_line, bytes_per_line, policy)
+        .observe_frame(trace, tile_of_access)
+        .report
+        for size in sizes_bytes
+    }

@@ -70,9 +70,7 @@ from repro.stream.qos import QoSPolicy
 from repro.stream.scheduler import PLACEMENTS
 from repro.stream.server import StreamServer, StreamSession
 from repro.stream.traffic import MIXES, PROFILES, RateProfile, TrafficGenerator
-from repro.stream.trajectory import CameraTrajectory
-
-TRAJECTORIES = ("orbit", "dolly", "head_jitter", "frozen")
+from repro.stream.trajectory import TRAJECTORY_KINDS as TRAJECTORIES, CameraTrajectory
 
 QOS_MODES = ("adaptive", "fixed")
 

@@ -70,7 +70,7 @@ from repro.stream.reporting import (
     report_evidence,
 )
 from repro.stream.server import StreamSession
-from repro.stream.trajectory import CameraTrajectory
+from repro.stream.trajectory import TRAJECTORY_KINDS, CameraTrajectory
 
 __all__ = [
     "GatewayClient",
@@ -89,10 +89,6 @@ _HEADER = struct.Struct("!I")
 #: Upper bound on one message's JSON payload — a corrupt or hostile
 #: length prefix must not allocate gigabytes.
 MAX_MESSAGE_BYTES = 8 * 1024 * 1024
-
-#: Trajectory kinds a ``hello`` may request (mirrors
-#: :meth:`CameraTrajectory.for_scene`).
-TRAJECTORY_KINDS = ("orbit", "dolly", "head_jitter", "frozen")
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,9 @@ from repro.errors import ValidationError
 from repro.gaussians.camera import Camera, orbit_cameras
 from repro.scenes.catalog import SceneSpec
 
+#: The kinds :meth:`CameraTrajectory.for_scene` builds.
+TRAJECTORY_KINDS = ("orbit", "dolly", "head_jitter", "frozen")
+
 
 @dataclass(frozen=True)
 class CameraTrajectory:
@@ -227,5 +230,5 @@ class CameraTrajectory:
             return CameraTrajectory.frozen(base, n_frames)
         raise ValidationError(
             f"unknown trajectory kind '{kind}'; "
-            "choose from orbit, dolly, head_jitter, frozen"
+            f"choose from {', '.join(TRAJECTORY_KINDS)}"
         )

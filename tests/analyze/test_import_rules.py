@@ -89,28 +89,3 @@ def test_mutable_call_default_flagged(run_rule):
         sim('"""m."""\ndef f(xs=list()):\n    return xs\n'),
     )
     assert len(findings) == 1
-
-
-def test_lint_shim_keeps_interface(tmp_path):
-    """``scripts/lint.py`` still exposes check_file() with the
-    historical F401 output format (CI and tests/test_lint.py rely on
-    it)."""
-    import importlib.util
-    from pathlib import Path
-
-    repo = Path(__file__).resolve().parents[2]
-    spec = importlib.util.spec_from_file_location(
-        "lint_shim", repo / "scripts" / "lint.py"
-    )
-    lint = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(lint)
-
-    target = tmp_path / "sample.py"
-    target.write_text('"""m."""\nimport json\n')
-    messages = lint.check_file(target)
-    assert messages == [
-        f"{target}:2: F401 'json' imported but unused"
-    ]
-    assert lint.main([str(target)]) == 1
-    target.write_text('"""m."""\nimport json\nprint(json.dumps({}))\n')
-    assert lint.main([str(target)]) == 0

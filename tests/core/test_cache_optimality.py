@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.reuse_cache import ReuseDistanceCache
+from repro.core.reuse_cache import TemporalReuseSimulator
 
 
 def belady_min_hits(trace: np.ndarray, capacity: int) -> int:
@@ -71,7 +71,7 @@ class TestBeladyEquivalence:
         because tied lines are all next used in the *same* tile and
         any of them is an equally optimal victim."""
         trace, tiles = data
-        rd = ReuseDistanceCache(capacity).simulate(trace, tiles)
+        rd = TemporalReuseSimulator(capacity).observe_frame(trace, tiles).report
         oracle = belady_min_hits(trace, capacity)
         # The RD policy can never beat MIN; with per-tile-distinct
         # traces it must tie within the slack of intra-tile ties.

@@ -1,5 +1,6 @@
 """Tests for the Gaussian Reuse Cache: the reuse-distance policy's
-optimality, baselines, and sweep behavior."""
+optimality, baselines, and sweep behavior, each on one cold frame of
+:class:`TemporalReuseSimulator`."""
 
 import numpy as np
 import pytest
@@ -8,12 +9,17 @@ from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.core.reuse_cache import (
-    FIFOCache,
-    LRUCache,
-    ReuseDistanceCache,
+    POLICIES,
+    TemporalReuseSimulator,
     next_use_tiles,
     sweep_cache_sizes,
 )
+
+
+def _cold(capacity, trace, tiles, policy="reuse_distance", bytes_per_line=32):
+    """One cold frame: the first frame of a fresh simulator."""
+    sim = TemporalReuseSimulator(capacity, bytes_per_line, policy)
+    return sim.observe_frame(trace, tiles).report
 
 
 def _tiled_trace(rng, n_gaussians=40, n_tiles=25, per_tile=8):
@@ -46,21 +52,21 @@ class TestNextUse:
 class TestPolicies:
     def test_zero_capacity_all_miss(self, rng):
         trace, tiles = _tiled_trace(rng)
-        for cls in (ReuseDistanceCache, LRUCache, FIFOCache):
-            report = cls(0).simulate(trace, tiles)
+        for policy in POLICIES:
+            report = _cold(0, trace, tiles, policy)
             assert report.hits == 0
             assert report.misses == len(trace)
 
     def test_infinite_capacity_compulsory_only(self, rng):
         trace, tiles = _tiled_trace(rng)
         unique = len(np.unique(trace))
-        for cls in (ReuseDistanceCache, LRUCache, FIFOCache):
-            report = cls(10_000).simulate(trace, tiles)
+        for policy in POLICIES:
+            report = _cold(10_000, trace, tiles, policy)
             assert report.misses == unique
 
     def test_report_arithmetic(self, rng):
         trace, tiles = _tiled_trace(rng)
-        report = ReuseDistanceCache(8, bytes_per_line=32).simulate(trace, tiles)
+        report = _cold(8, trace, tiles, bytes_per_line=32)
         assert report.hits + report.misses == report.accesses
         assert report.miss_bytes == report.misses * 32
         assert report.hit_rate == pytest.approx(report.hits / report.accesses)
@@ -74,9 +80,9 @@ class TestPolicies:
         reuse-distance policy never loses to LRU or FIFO."""
         rng = np.random.default_rng(seed)
         trace, tiles = _tiled_trace(rng)
-        rd = ReuseDistanceCache(capacity).simulate(trace, tiles)
-        lru = LRUCache(capacity).simulate(trace, tiles)
-        fifo = FIFOCache(capacity).simulate(trace, tiles)
+        rd = _cold(capacity, trace, tiles)
+        lru = _cold(capacity, trace, tiles, "lru")
+        fifo = _cold(capacity, trace, tiles, "fifo")
         assert rd.hits >= lru.hits
         assert rd.hits >= fifo.hits
 
@@ -87,13 +93,13 @@ class TestPolicies:
         trace, tiles = _tiled_trace(rng)
         previous = -1.0
         for capacity in (1, 2, 4, 8, 16, 32):
-            report = ReuseDistanceCache(capacity).simulate(trace, tiles)
+            report = _cold(capacity, trace, tiles)
             assert report.hit_rate >= previous - 1e-12
             previous = report.hit_rate
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValidationError):
-            ReuseDistanceCache(-1)
+            TemporalReuseSimulator(-1)
 
 
 class TestRdPolicyMechanics:
@@ -102,18 +108,17 @@ class TestRdPolicyMechanics:
         # g0 reused immediately (tile 1), g1 reused far (tile 9).
         trace = np.array([0, 1, 2, 0, 1])
         tiles = np.array([0, 0, 1, 1, 9])
-        report = ReuseDistanceCache(2).simulate(trace, tiles)
+        report = _cold(2, trace, tiles)
         # Optimal: install 0,1; miss 2 evicts g1 (reuse at 9) keeping
         # g0 (reuse at 1) -> hit on 0, miss on final 1 = 1 hit.
         assert report.hits == 1
-        lru = LRUCache(2).simulate(trace, tiles)
+        lru = _cold(2, trace, tiles, "lru")
         # LRU evicts g0 (least recent) -> misses 0 again -> evicts...
         assert report.hits >= lru.hits
 
     def test_empty_trace(self):
-        report = ReuseDistanceCache(4).simulate(
-            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        )
+        empty = np.zeros(0, dtype=np.int64)
+        report = _cold(4, empty, empty)
         assert report.accesses == 0
         assert report.hit_rate == 0.0
 
