@@ -19,6 +19,128 @@ SMALL = [
 ]
 
 
+#: Every flag of every subcommand (``None`` is the main command):
+#: option -> (default, choices, type, nargs).  This pins what a user
+#: can set; how the parsers are assembled is free to change.
+FLAG_SURFACE = {
+    None: {
+        "--scene": ("bicycle", None, None, None),
+        "--trajectory": (
+            "orbit", ["orbit", "dolly", "head_jitter", "frozen"],
+            None, None,
+        ),
+        "--frames": (16, None, int, None),
+        "--sessions": (1, None, int, None),
+        "--workers": (0, None, int, None),
+        "--placement": ("load", ["rr", "load"], None, None),
+        "--max-inflight": (None, None, int, None),
+        "--detail": (1.0, None, float, None),
+        "--target-fps": (None, None, float, None),
+        "--qos": ("adaptive", ["adaptive", "fixed"], None, None),
+        "--backend": ("vectorized", None, None, None),
+        "--render-mode": ("exact", ["exact", "approx"], None, None),
+        "--tolerance": (None, None, float, None),
+        "--shards": (1, None, int, None),
+        "--cache-policy": (
+            "reuse_distance", ["fifo", "lru", "reuse_distance"],
+            None, None,
+        ),
+        "--seed": (0, None, int, None),
+        "--pipeline": ("exact", ["exact", "digest"], None, None),
+        "--models": (None, None, None, None),
+        "--content-cache": (False, None, None, 0),
+        "--pose-quant": (0.0, None, float, None),
+        "--json": (None, None, None, None),
+    },
+    "fleet": {
+        "--nodes": (2, None, int, None),
+        "--node-workers": (1, None, int, None),
+        "--node-capacity": (4, None, int, None),
+        "--router": ("least", ["least", "affinity", "active"], None, None),
+        "--max-nodes": (None, None, int, None),
+        "--min-nodes": (None, None, int, None),
+        "--no-migration": (False, None, None, 0),
+        "--mix": ("mixed", ["dynamic", "heavy", "light", "mixed"], None, None),
+        "--rate": (40.0, None, float, None),
+        "--duration": (0.5, None, float, None),
+        "--profile": ("constant", ["constant", "diurnal", "ramp"], None, None),
+        "--detail": (1.0, None, float, None),
+        "--seed": (0, None, int, None),
+        "--compact": (False, None, None, 0),
+        "--pipeline": ("exact", ["exact", "digest"], None, None),
+        "--models": (None, None, None, None),
+        "--content-cache": (False, None, None, 0),
+        "--pose-quant": (0.0, None, float, None),
+        "--json": (None, None, None, None),
+    },
+    "serve": {
+        "--host": ("127.0.0.1", None, None, None),
+        "--port": (0, None, int, None),
+        "--http-port": (None, None, int, None),
+        "--workers": (0, None, int, None),
+        "--placement": ("load", ["rr", "load"], None, None),
+        "--max-inflight": (None, None, int, None),
+        "--queue-frames": (8, None, int, None),
+        "--drain-timeout": (30.0, None, float, None),
+        "--exit-after-sessions": (None, None, int, None),
+        "--pipeline": ("exact", ["exact", "digest"], None, None),
+        "--models": (None, None, None, None),
+        "--content-cache": (False, None, None, 0),
+        "--pose-quant": (0.0, None, float, None),
+    },
+    "calibrate": {
+        "--scenes": (["bicycle"], None, None, "+"),
+        "--details": ([1.0], None, float, "+"),
+        "--trajectories": (
+            ["orbit"],
+            ["orbit", "dolly", "head_jitter", "frozen"], None, "+",
+        ),
+        "--frames": (8, None, int, None),
+        "--backend": ("vectorized", None, None, None),
+        "--cache-policy": (
+            "reuse_distance", ["fifo", "lru", "reuse_distance"],
+            None, None,
+        ),
+        "--seed": (0, None, int, None),
+        "--jitter": (0.0, None, float, None),
+        "--out": ("-", None, None, None),
+    },
+}
+
+
+def _parsers():
+    from repro.stream.cli import (
+        build_calibrate_parser,
+        build_fleet_parser,
+        build_serve_parser,
+    )
+
+    return {
+        None: build_parser(),
+        "fleet": build_fleet_parser(),
+        "serve": build_serve_parser(),
+        "calibrate": build_calibrate_parser(),
+    }
+
+
+def _surface(parser):
+    return {
+        action.option_strings[0]: (
+            parser.get_default(action.dest),
+            None if action.choices is None else list(action.choices),
+            action.type,
+            action.nargs,
+        )
+        for action in parser._actions
+        if action.option_strings and action.dest != "help"
+    }
+
+
+@pytest.mark.parametrize("command", list(FLAG_SURFACE))
+def test_flag_surface_is_pinned(command):
+    assert _surface(_parsers()[command]) == FLAG_SURFACE[command]
+
+
 class TestErrorExits:
     """Invalid arguments exit 2 with a one-line error, no traceback."""
 
