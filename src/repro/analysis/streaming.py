@@ -44,7 +44,7 @@ from repro.errors import ValidationError
 from repro.scenes.catalog import CATALOG, AppType, SceneSpec, build_scene
 from repro.stream.fleet import EdgeFleet
 from repro.stream.pipeline import FrameStream, StreamReport
-from repro.stream.qos import QoSPolicy
+from repro.stream.qos import QOS_MODES, QoSPolicy
 from repro.stream.scheduler import PLACEMENTS
 from repro.stream.server import StreamServer, StreamSession
 from repro.stream.traffic import TrafficGenerator
@@ -210,11 +210,6 @@ def skewed_session_mix(
 # ----------------------------------------------------------------------
 # Quality-of-service study
 # ----------------------------------------------------------------------
-
-#: The two quality modes :func:`compare_qos` serves.
-QOS_MODES = ("fixed", "adaptive")
-
-
 @dataclass(frozen=True)
 class QoSPoint:
     """One quality mode's outcome on a session mix under a deadline.

@@ -1,60 +1,29 @@
-"""The ``repro-stream`` command line.
+"""The ``repro-stream`` command line: four commands, one flag surface.
 
-Streams one or more client sessions over a scene and prints per-session
-serving metrics — cold vs. warm cache hit rates, binning reuse, and
-simulated / wall throughput.  Installed as the ``repro-stream`` console
-script; also runnable without installation:
+    PYTHONPATH=src python -m repro.stream --scene bicycle --sessions 2
+    PYTHONPATH=src python -m repro.stream fleet --nodes 2 --mix mixed
+    PYTHONPATH=src python -m repro.stream serve --port 7061
+    PYTHONPATH=src python -m repro.stream calibrate --scenes bicycle
 
-    PYTHONPATH=src python -m repro.stream --scene bicycle \\
-        --trajectory orbit --frames 16 --sessions 2 --workers 0
-
-The ``fleet`` subcommand serves *generated* open-loop traffic over a
-multi-node fleet instead of a hand-built session list:
-
-    PYTHONPATH=src python -m repro.stream fleet --nodes 2 \\
-        --mix mixed --rate 40 --duration 0.5 --detail 0.5
-
-It prints per-node serving totals plus the fleet summary (throughput,
-queue depth, migrations, autoscale events); ``--max-nodes`` above
-``--nodes`` enables threshold autoscaling.
-
-With ``--target-fps`` every session runs under deadline-aware quality
-control (:mod:`repro.stream.qos`): ``--qos adaptive`` (default) lets
-the per-session controller walk the detail ladder, ``--qos fixed``
-only tracks deadline hits/misses at the requested detail; the table
-then also reports each session's deadline-miss rate and mean delivered
-detail.
-
-``--render-mode approx`` serves with the contribution-aware
-approximate backend (optionally tuned with ``--tolerance``), and
-``--shards N`` enables intra-frame tile sharding: a static N-way split
-without QoS, or the controller's escalation ceiling under
-``--target-fps`` with adaptive QoS.
-
-``--content-cache`` enables the tiered content-addressed render cache
-(:mod:`repro.stream.content_cache`): co-located viewers whose poses
-fall in the same quantization cell (``--pose-quant``, scene units; 0
-dedups only bit-identical poses) are served one shared render product,
-and the summary gains a per-tier hit-rate/traffic line.  Both the main
-command and the ``fleet`` subcommand accept the pair.
-
-Each session gets its own trajectory: session ``i`` uses seed
-``seed + i`` (head-jitter) or phase offset ``i`` (orbit), so concurrent
-clients view the scene from distinct, deterministic paths.
-
-Invalid arguments — an unknown scene, a non-positive ``--detail`` or
-``--target-fps`` — exit with status 2 and a one-line ``error:``
-message, never a traceback.
+A flag two or three commands share is defined once, in a group of
+:func:`_shared_flags` (an argparse parent).  Every value is checked
+once, against :data:`RULES` and :data:`CROSS_RULES`; the fields a
+gateway ``hello`` also carries use the rules beside
+:class:`~repro.stream.server.StreamSession`.  Invalid arguments exit
+with status 2 and a one-line ``error:`` message, never a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import json
+import math
 import os
+import signal
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from repro.core.reuse_cache import POLICIES
 from repro.errors import ValidationError
@@ -66,20 +35,49 @@ from repro.stream.content_cache import ContentCacheConfig, economics_to_dict
 from repro.stream.digest import WorkloadModelTable
 from repro.stream.fleet import ROUTERS, EdgeFleet
 from repro.stream.pipeline import PIPELINES, streaming_config
-from repro.stream.qos import QoSPolicy
+from repro.stream.qos import QOS_MODES, QoSPolicy
 from repro.stream.scheduler import PLACEMENTS
-from repro.stream.server import StreamServer, StreamSession
+from repro.stream.server import SESSION_FIELD_RULES, StreamServer, StreamSession
 from repro.stream.traffic import MIXES, PROFILES, RateProfile, TrafficGenerator
 from repro.stream.trajectory import TRAJECTORY_KINDS as TRAJECTORIES, CameraTrajectory
-
-QOS_MODES = ("adaptive", "fixed")
 
 RENDER_MODES = ("exact", "approx")
 
 
-def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
-    """The frame-pipeline argument pair, shared by both serve commands."""
-    parser.add_argument(
+# ----------------------------------------------------------------------
+# Parsers
+# ----------------------------------------------------------------------
+def _shared_flags(*groups: str) -> list[argparse.ArgumentParser]:
+    """The named groups of the flags several commands share, as argparse
+    parents.  Built fresh for every parser: a child's ``set_defaults``
+    rewrites its parents' actions (``calibrate`` sets ``--frames`` 8)."""
+    parsers = {
+        group: argparse.ArgumentParser(add_help=False)
+        for group in ("server", "pipeline", "report", "seed", "render")
+    }
+    # server: one stream server's shape (main command, serve).
+    parsers["server"].add_argument(
+        "--workers",
+        type=int,
+        default=0,
+        help="worker processes; 0 = in-process (default: 0)",
+    )
+    parsers["server"].add_argument(
+        "--placement",
+        default="load",
+        choices=PLACEMENTS,
+        help="session->worker policy: load-aware or round-robin "
+        "(default: load)",
+    )
+    parsers["server"].add_argument(
+        "--max-inflight",
+        type=int,
+        metavar="N",
+        help="admission control: serve at most N sessions concurrently, "
+        "queueing the rest (default: unlimited)",
+    )
+    # pipeline: frame pipeline and content cache (main, fleet, serve).
+    parsers["pipeline"].add_argument(
         "--pipeline",
         default="exact",
         choices=PIPELINES,
@@ -87,48 +85,20 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
         "advances sessions from calibrated workload models "
         "(default: exact)",
     )
-    parser.add_argument(
+    parsers["pipeline"].add_argument(
         "--models",
         metavar="PATH",
-        default=None,
         help="workload-model table JSON (see the 'calibrate' "
         "subcommand); with --pipeline digest and no --models, a table "
         "is calibrated in-process before serving",
     )
-
-
-def _validate_pipeline_args(args: argparse.Namespace) -> None:
-    if args.models is not None and args.pipeline != "digest":
-        raise ValidationError("--models requires --pipeline digest")
-
-
-def _load_models(path: str) -> WorkloadModelTable:
-    """Load a workload-model table from JSON.
-
-    Failures are argument-shaped — a missing/unreadable file or
-    malformed JSON is the user mistyping ``--models``, not a server
-    bug — so both routes surface as :class:`ValidationError` (one-line
-    ``error:`` message, exit 2), never a bare traceback.
-    ``from_json`` already maps ``json.JSONDecodeError`` to
-    :class:`ValidationError`; the I/O side is mapped here.
-    """
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read --models '{path}': {exc}") from exc
-    return WorkloadModelTable.from_json(text)
-
-
-def _add_content_cache_args(parser: argparse.ArgumentParser) -> None:
-    """The content-cache argument pair, shared by both commands."""
-    parser.add_argument(
+    parsers["pipeline"].add_argument(
         "--content-cache",
         action="store_true",
         help="enable the tiered content-addressed render cache "
         "(whole-frame dedup across co-located viewers)",
     )
-    parser.add_argument(
+    parsers["pipeline"].add_argument(
         "--pose-quant",
         type=float,
         default=0.0,
@@ -137,30 +107,42 @@ def _add_content_cache_args(parser: argparse.ArgumentParser) -> None:
         "inside one cell share rendered frames (0 = exact poses only; "
         "requires --content-cache)",
     )
-
-
-def _validate_content_cache_args(args: argparse.Namespace) -> None:
-    if args.pose_quant < 0:
-        raise ValidationError("--pose-quant cannot be negative")
-    if args.pose_quant > 0 and not args.content_cache:
-        raise ValidationError("--pose-quant requires --content-cache")
-
-
-def _content_config(args: argparse.Namespace) -> ContentCacheConfig | None:
-    if not args.content_cache:
-        return None
-    return ContentCacheConfig(pose_quant=args.pose_quant)
-
-
-def _print_content_economics(totals: dict) -> None:
-    parts = []
-    for level, econ in economics_to_dict(totals).items():
-        parts.append(
-            f"{level} {econ['hits']}/{econ['accesses']} "
-            f"({econ['hit_rate']:.0%})"
-        )
-    line = ", ".join(parts) if parts else "no lookups"
-    print(f"content cache hits by tier: {line}")
+    # report: scene detail and the JSON report (main, fleet).
+    parsers["report"].add_argument(
+        "--detail", type=float, default=1.0, help="scene detail multiplier"
+    )
+    parsers["report"].add_argument(
+        "--json",
+        metavar="PATH",
+        help="also write the full report as JSON ('-' for stdout)",
+    )
+    # seed: the base seed (main, fleet, calibrate).
+    parsers["seed"].add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="base seed for jittered paths and generated traffic",
+    )
+    # render: what an exact render runs (main, calibrate).
+    parsers["render"].add_argument(
+        "--frames",
+        type=int,
+        default=16,
+        help="frames per session or calibration model "
+        "(default: %(default)s)",
+    )
+    parsers["render"].add_argument(
+        "--backend",
+        default="vectorized",
+        help="render backend (default: vectorized)",
+    )
+    parsers["render"].add_argument(
+        "--cache-policy",
+        default="reuse_distance",
+        choices=sorted(POLICIES),
+        help="reuse-cache policy (default: reuse_distance)",
+    )
+    return [parsers[group] for group in groups]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,6 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-stream",
         description="Stream frame sequences over catalog scenes "
         "with cross-frame reuse.",
+        parents=_shared_flags("server", "pipeline", "report", "seed", "render"),
     )
     parser.add_argument(
         "--scene",
@@ -181,39 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="camera path archetype (default: orbit)",
     )
     parser.add_argument(
-        "--frames", type=int, default=16, help="frames per session (default: 16)"
-    )
-    parser.add_argument(
         "--sessions", type=int, default=1, help="concurrent sessions (default: 1)"
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes; 0 = in-process (default: 0)",
-    )
-    parser.add_argument(
-        "--placement",
-        default="load",
-        choices=PLACEMENTS,
-        help="session->worker policy: load-aware or round-robin "
-        "(default: load)",
-    )
-    parser.add_argument(
-        "--max-inflight",
-        type=int,
-        default=None,
-        metavar="N",
-        help="admission control: serve at most N sessions concurrently, "
-        "queueing the rest (default: unlimited)",
-    )
-    parser.add_argument(
-        "--detail", type=float, default=1.0, help="scene detail multiplier"
     )
     parser.add_argument(
         "--target-fps",
         type=float,
-        default=None,
         metavar="FPS",
         help="per-frame deadline as a refresh rate (e.g. 72); enables "
         "QoS tracking (default: no deadline)",
@@ -221,14 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--qos",
         default="adaptive",
-        choices=QOS_MODES,
+        choices=sorted(QOS_MODES),
         help="with --target-fps: 'adaptive' closes the loop on detail, "
         "'fixed' only records deadline hits/misses (default: adaptive)",
-    )
-    parser.add_argument(
-        "--backend",
-        default="vectorized",
-        help="render backend (default: vectorized)",
     )
     parser.add_argument(
         "--render-mode",
@@ -241,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tolerance",
         type=float,
-        default=None,
         metavar="T",
         help="approx-mode quality tolerance in [0, 1]; only valid with "
         "--render-mode approx (default: the backend's built-in default)",
@@ -256,225 +205,15 @@ def build_parser() -> argparse.ArgumentParser:
         "quality band is exhausted); otherwise every frame renders with "
         "N parallel tile engines (default: 1)",
     )
-    parser.add_argument(
-        "--cache-policy",
-        default="reuse_distance",
-        choices=sorted(POLICIES),
-        help="reuse-cache policy (default: reuse_distance)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="base seed for jittered paths"
-    )
-    _add_pipeline_args(parser)
-    _add_content_cache_args(parser)
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the full per-frame report as JSON ('-' for stdout)",
-    )
     return parser
 
 
-def validate_args(args: argparse.Namespace) -> None:
-    """Reject invalid argument values with :class:`ValidationError`."""
-    if args.scene not in CATALOG:
-        raise ValidationError(
-            f"unknown scene '{args.scene}'; choose from "
-            + ", ".join(sorted(CATALOG))
-        )
-    if args.frames <= 0:
-        raise ValidationError("--frames must be positive")
-    if args.sessions <= 0:
-        raise ValidationError("--sessions must be positive")
-    if args.workers < 0:
-        raise ValidationError("--workers cannot be negative")
-    if args.max_inflight is not None and args.max_inflight < 1:
-        raise ValidationError("--max-inflight must be at least 1")
-    if args.detail <= 0:
-        raise ValidationError("--detail must be positive")
-    if args.target_fps is not None and args.target_fps <= 0:
-        raise ValidationError("--target-fps must be positive")
-    if args.seed < 0:
-        raise ValidationError("--seed cannot be negative")
-    # Resolve the backend eagerly: an unknown name is an argument
-    # mistake (one-line error, exit 2), not a mid-serve traceback.
-    get_backend(args.backend)
-    if args.shards < 1:
-        raise ValidationError("--shards must be at least 1")
-    if args.tolerance is not None:
-        if args.render_mode != "approx":
-            raise ValidationError(
-                "--tolerance is only valid with --render-mode approx"
-            )
-        if not 0.0 <= args.tolerance <= 1.0:
-            raise ValidationError("--tolerance must be in [0, 1]")
-    _validate_pipeline_args(args)
-    _validate_content_cache_args(args)
-
-
-def make_sessions(args: argparse.Namespace) -> list[StreamSession]:
-    """Deterministic per-client sessions from the CLI arguments."""
-    spec = CATALOG[args.scene]
-    backend = "approx" if args.render_mode == "approx" else args.backend
-    adaptive = args.target_fps is not None and args.qos == "adaptive"
-    config = streaming_config(
-        backend=backend, cache_policy=args.cache_policy
-    )
-    if args.shards > 1 and not adaptive:
-        # No controller to escalate: every frame shards statically.
-        config = replace(config, shards=args.shards)
-    qos = None
-    if args.target_fps is not None:
-        qos = (
-            QoSPolicy.fixed()
-            if args.qos == "fixed"
-            else QoSPolicy(max_shards=args.shards)
-        )
-    sessions = []
-    for i in range(args.sessions):
-        trajectory = CameraTrajectory.for_scene(
-            spec,
-            kind=args.trajectory,
-            n_frames=args.frames,
-            seed=args.seed + i,
-            detail=args.detail,
-            phase_deg=i * 360.0 / args.sessions,
-        )
-        sessions.append(
-            StreamSession(
-                session_id=f"{args.scene}-{args.trajectory}-{i}",
-                scene=args.scene,
-                trajectory=trajectory,
-                detail=args.detail,
-                config=config,
-                target_fps=args.target_fps,
-                qos=qos,
-                pipeline=args.pipeline,
-            )
-        )
-    return sessions
-
-
-def _run(args: argparse.Namespace, sessions: list[StreamSession]) -> int:
-    models = None
-    if args.pipeline == "digest":
-        if args.models is not None:
-            models = _load_models(args.models)
-        else:
-            # Self-calibration: one exact render of the requested
-            # workload, then every session digests from it.
-            models = WorkloadModelTable.calibrate(
-                [args.scene],
-                details=(args.detail,),
-                trajectories=(args.trajectory,),
-                n_frames=min(args.frames, 8),
-                config=sessions[0].config,
-                seed=args.seed,
-            )
-        print(
-            f"digest pipeline: {len(models)} workload model(s) "
-            + ("loaded" if args.models is not None else "calibrated")
-        )
-    with StreamServer(
-        workers=args.workers,
-        placement=args.placement,
-        max_inflight=args.max_inflight,
-        content_cache=_content_config(args),
-        models=models,
-    ) as server:
-        server.warm_up()
-        results, summary = server.serve_timed(sessions)
-        content_totals = server.content_totals
-
-    with_qos = args.target_fps is not None
-    headers = [
-        "session",
-        "worker",
-        "frames",
-        "cold hit",
-        "warm hit",
-        "bin reuse",
-        "sim FPS",
-        "wall FPS",
-    ]
-    if with_qos:
-        headers += ["miss rate", "mean detail"]
-    rows = []
-    for r in results:
-        rep = r.report
-        row = [
-            r.session_id,
-            r.worker,
-            rep.n_frames,
-            rep.cold_hit_rate,
-            rep.warm_hit_rate,
-            rep.binning_reuse,
-            rep.mean_sim_fps,
-            rep.wall_fps,
-        ]
-        if with_qos:
-            row += [rep.deadline_miss_rate(), rep.mean_detail]
-        rows.append(row)
-    print(format_table(headers, rows))
-    print(
-        f"\nserved {summary.total_frames} frames over "
-        f"{summary.workers} worker(s), '{args.placement}' placement: "
-        f"{summary.sim_frames_per_sec:.1f} simulated frames/sec "
-        f"(aggregate), {summary.wall_frames_per_sec:.2f} wall frames/sec"
-    )
-    if with_qos:
-        misses = sum(
-            1
-            for r in results
-            for f in r.report.frames
-            if f.qos is not None and not f.qos.met
-        )
-        print(
-            f"QoS ({args.qos}, {args.target_fps:g} Hz): "
-            f"{misses}/{summary.total_frames} deadline misses"
-        )
-    if args.content_cache:
-        _print_content_economics(content_totals)
-
-    if args.json is not None:
-        payload = {
-            "scene": args.scene,
-            "trajectory": args.trajectory,
-            "pipeline": args.pipeline,
-            "workers": summary.workers,
-            "placement": args.placement,
-            "target_fps": args.target_fps,
-            "qos": args.qos if with_qos else None,
-            "sim_frames_per_sec": summary.sim_frames_per_sec,
-            "wall_frames_per_sec": summary.wall_frames_per_sec,
-            **(
-                {
-                    "content_cache": economics_to_dict(content_totals),
-                    "pose_quant": args.pose_quant,
-                }
-                if args.content_cache
-                else {}
-            ),
-            "sessions": [r.report.to_dict() for r in results],
-        }
-        text = json.dumps(payload, indent=2)
-        if args.json == "-":
-            print(text)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(text + "\n")
-    return 0
-
-
-# ----------------------------------------------------------------------
-# The `fleet` subcommand: generated traffic over a multi-node fleet
-# ----------------------------------------------------------------------
 def build_fleet_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-stream fleet",
         description="Serve generated open-loop traffic over a fleet of "
         "stream-server nodes.",
+        parents=_shared_flags("pipeline", "report", "seed"),
     )
     parser.add_argument(
         "--nodes", type=int, default=2, help="initial fleet nodes (default: 2)"
@@ -501,7 +240,6 @@ def build_fleet_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-nodes",
         type=int,
-        default=None,
         metavar="N",
         help="autoscaling ceiling; above --nodes enables queue-driven "
         "scale-up (default: --nodes, autoscaling off)",
@@ -509,7 +247,6 @@ def build_fleet_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--min-nodes",
         type=int,
-        default=None,
         metavar="N",
         help="autoscaling floor for idle-node drain (default: --nodes)",
     )
@@ -543,95 +280,423 @@ def build_fleet_parser() -> argparse.ArgumentParser:
         help="arrival-rate shape (default: constant)",
     )
     parser.add_argument(
-        "--detail",
-        type=float,
-        default=1.0,
-        help="global detail multiplier on the generated sessions",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="traffic generator seed"
-    )
-    parser.add_argument(
         "--compact",
         action="store_true",
         help="generate compact sessions (one-pose trajectories, frame "
         "budgets on the session) — required at 10^5+ sessions; needs "
         "--pipeline digest and no --content-cache",
     )
-    _add_pipeline_args(parser)
-    _add_content_cache_args(parser)
+    return parser
+
+
+def build_serve_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-stream serve",
+        description="Run the asyncio serving gateway: clients connect "
+        "over TCP, open sessions with a JSON hello, and stream frame "
+        "metadata with checkpoint-backed reconnects "
+        "(see docs/streaming.md, 'Serving gateway').",
+        parents=_shared_flags("server", "pipeline"),
+    )
     parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the fleet report as JSON ('-' for stdout)",
+        "--host",
+        default="127.0.0.1",
+        help="listen address (default: 127.0.0.1 — loopback only)",
+    )
+    parser.add_argument(
+        "--port",
+        type=int,
+        default=0,
+        help="listen port; 0 binds an ephemeral port and prints it "
+        "(default: 0)",
+    )
+    parser.add_argument(
+        "--http-port",
+        type=int,
+        metavar="PORT",
+        help="also serve GET /healthz and /stats on this HTTP port "
+        "(0 = ephemeral; default: no HTTP shim)",
+    )
+    parser.add_argument(
+        "--queue-frames",
+        type=int,
+        default=8,
+        metavar="N",
+        help="per-connection send-queue bound; a client this many "
+        "frames behind pauses its own session until it catches up "
+        "(default: 8)",
+    )
+    parser.add_argument(
+        "--drain-timeout",
+        type=float,
+        default=30.0,
+        metavar="SECONDS",
+        help="on shutdown, wait this long for connected sessions to "
+        "finish before force-detaching stalled clients (their sessions "
+        "are checkpointed like a disconnect; default: 30)",
+    )
+    parser.add_argument(
+        "--exit-after-sessions",
+        type=int,
+        metavar="N",
+        help="drain and exit once N sessions have finished and every "
+        "client has disconnected (CI smoke; default: serve until "
+        "SIGINT/SIGTERM)",
     )
     return parser
 
 
-def validate_fleet_args(args: argparse.Namespace) -> None:
-    """Reject invalid fleet arguments with :class:`ValidationError`."""
-    if args.nodes < 1:
-        raise ValidationError("--nodes must be at least 1")
-    if args.node_workers < 1:
-        raise ValidationError("--node-workers must be at least 1")
-    if args.node_capacity < 1:
-        raise ValidationError("--node-capacity must be at least 1")
-    if args.rate <= 0:
-        raise ValidationError("--rate must be positive")
-    if args.duration <= 0:
-        raise ValidationError("--duration must be positive")
-    if args.detail <= 0:
-        raise ValidationError("--detail must be positive")
-    if args.max_nodes is not None and args.max_nodes < args.nodes:
-        raise ValidationError("--max-nodes cannot be below --nodes")
-    if args.min_nodes is not None and not 1 <= args.min_nodes <= args.nodes:
-        raise ValidationError("--min-nodes must be in [1, --nodes]")
-    if args.seed < 0:
-        raise ValidationError("--seed cannot be negative")
-    _validate_pipeline_args(args)
-    if args.compact and args.pipeline != "digest":
-        raise ValidationError("--compact requires --pipeline digest")
-    if args.compact and args.content_cache:
-        raise ValidationError(
-            "--compact drops per-frame poses and cannot feed "
-            "--content-cache"
-        )
-    _validate_content_cache_args(args)
+def build_calibrate_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-stream calibrate",
+        description="Calibrate digest-pipeline workload models by "
+        "running the exact pipeline, and write the table as JSON.",
+        parents=_shared_flags("seed", "render"),
+    )
+    parser.set_defaults(frames=8)
+    parser.add_argument(
+        "--scenes",
+        nargs="+",
+        default=["bicycle"],
+        metavar="SCENE",
+        help="catalog scenes to calibrate (default: bicycle)",
+    )
+    parser.add_argument(
+        "--details",
+        nargs="+",
+        type=float,
+        default=[1.0],
+        metavar="D",
+        help="detail rungs to calibrate per scene (default: 1.0)",
+    )
+    parser.add_argument(
+        "--trajectories",
+        nargs="+",
+        default=["orbit"],
+        choices=TRAJECTORIES,
+        metavar="KIND",
+        help="trajectory classes to calibrate (default: orbit)",
+    )
+    parser.add_argument(
+        "--jitter",
+        type=float,
+        default=0.0,
+        metavar="J",
+        help="deterministic per-frame latency jitter fraction in [0, 1) "
+        "applied by digest streams replaying these models (default: 0)",
+    )
+    parser.add_argument(
+        "--out",
+        metavar="PATH",
+        default="-",
+        help="where to write the model-table JSON (default: stdout)",
+    )
+    return parser
 
 
-def _fleet_models(args: argparse.Namespace) -> WorkloadModelTable | None:
-    """The digest model table for a fleet serve (load or calibrate).
+# ----------------------------------------------------------------------
+# Validation: one rule table for every command
+# ----------------------------------------------------------------------
+#: Per-flag rules: (dest, predicate, message), checked in every command
+#: whose namespace has ``dest``; unset flags (``None``) are skipped and
+#: lists are checked item by item.  ``{label}`` is the flag.  Every
+#: float must also be finite: NaN passes every comparison below.
+RULES = (
+    ("scene", *SESSION_FIELD_RULES["scene"]),
+    ("scenes", *SESSION_FIELD_RULES["scene"]),
+    ("frames", *SESSION_FIELD_RULES["frames"]),
+    ("sessions", lambda n: n >= 1, "{label} must be positive"),
+    ("workers", lambda n: n >= 0, "{label} cannot be negative"),
+    ("max_inflight", lambda n: n >= 1, "{label} must be at least 1"),
+    ("detail", *SESSION_FIELD_RULES["detail"]),
+    ("details", *SESSION_FIELD_RULES["detail"]),
+    ("target_fps", *SESSION_FIELD_RULES["target_fps"]),
+    ("seed", *SESSION_FIELD_RULES["seed"]),
+    # An unknown backend raises get_backend's own error, which lists
+    # the registered names.
+    ("backend", lambda name: get_backend(name) is not None, ""),
+    ("shards", lambda n: n >= 1, "{label} must be at least 1"),
+    ("tolerance", lambda t: 0.0 <= t <= 1.0, "{label} must be in [0, 1]"),
+    ("pose_quant", lambda q: q >= 0, "{label} cannot be negative"),
+    ("nodes", lambda n: n >= 1, "{label} must be at least 1"),
+    ("node_workers", lambda n: n >= 1, "{label} must be at least 1"),
+    ("node_capacity", lambda n: n >= 1, "{label} must be at least 1"),
+    ("rate", lambda rate: rate > 0, "{label} must be positive"),
+    ("duration", lambda seconds: seconds > 0, "{label} must be positive"),
+    ("port", lambda port: 0 <= port <= 65535, "{label} must be in [0, 65535]"),
+    ("http_port", lambda port: 0 <= port <= 65535, "{label} must be in [0, 65535]"),
+    ("queue_frames", lambda n: n >= 2, "{label} must be at least 2"),
+    ("drain_timeout", lambda seconds: seconds > 0, "{label} must be positive"),
+    ("exit_after_sessions", lambda n: n >= 1, "{label} must be at least 1"),
+    ("jitter", lambda j: 0.0 <= j < 1.0, "{label} must be in [0, 1)"),
+)
 
-    Self-calibration covers every (scene, detail, trajectory class)
-    the chosen mix can emit, at the CLI's global detail multiplier.
-    """
+_SERVING, _FLEET = (None, "fleet", "serve"), ("fleet",)
+
+#: Rules across flags: message -> (commands, violated(args)); the
+#: ``None`` command is the main one.
+CROSS_RULES = {
+    "--models requires --pipeline digest": (
+        _SERVING, lambda a: a.models is not None and a.pipeline != "digest"
+    ),
+    "--pose-quant requires --content-cache": (
+        _SERVING, lambda a: a.pose_quant > 0 and not a.content_cache
+    ),
+    "--tolerance is only valid with --render-mode approx": (
+        (None,), lambda a: a.tolerance is not None and a.render_mode != "approx"
+    ),
+    "--max-nodes cannot be below --nodes": (
+        _FLEET, lambda a: a.max_nodes is not None and a.max_nodes < a.nodes
+    ),
+    "--min-nodes must be in [1, --nodes]": (
+        _FLEET, lambda a: a.min_nodes is not None and not 1 <= a.min_nodes <= a.nodes
+    ),
+    "--compact requires --pipeline digest": (
+        _FLEET, lambda a: a.compact and a.pipeline != "digest"
+    ),
+    "--compact drops per-frame poses and cannot feed --content-cache": (
+        _FLEET, lambda a: a.compact and a.content_cache
+    ),
+    # Clients name their scenes at connect time, so there is no
+    # workload to self-calibrate against up front.
+    "serve --pipeline digest needs --models (see the 'calibrate' subcommand)": (
+        ("serve",), lambda a: a.pipeline == "digest" and a.models is None
+    ),
+}
+
+
+def validate(args: argparse.Namespace, command: str | None = None) -> None:
+    """Reject ``command``'s invalid arguments with :class:`ValidationError`."""
+    for dest, valid, message in RULES:
+        values = getattr(args, dest, None)
+        for value in values if isinstance(values, list) else [values]:
+            flag = "--" + dest.replace("_", "-")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"{flag} must be finite")
+            if value is not None and not valid(value):
+                raise ValidationError(message.format(label=flag, value=value))
+    for message, (commands, violated) in CROSS_RULES.items():
+        if command in commands and violated(args):
+            raise ValidationError(message)
+
+
+# ----------------------------------------------------------------------
+# Helpers shared by the commands
+# ----------------------------------------------------------------------
+def _load_models(path: str) -> WorkloadModelTable:
+    """Load a workload-model table; an unreadable file is a ValidationError."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read --models '{path}': {exc}") from exc
+    return WorkloadModelTable.from_json(text)
+
+
+def _digest_models(args, scenes, **calibration) -> WorkloadModelTable | None:
+    """The digest pipeline's model table: ``--models``, else calibrated
+    in-process over ``scenes``; ``None`` for the exact pipeline."""
     if args.pipeline != "digest":
         return None
     if args.models is not None:
-        return _load_models(args.models)
-    archetypes = MIXES[args.mix]
-    scenes = sorted({a.scene for a in archetypes})
-    details = sorted({a.detail * args.detail for a in archetypes})
-    trajectories = sorted({a.trajectory for a in archetypes})
-    return WorkloadModelTable.calibrate(
-        scenes,
-        details=details,
-        trajectories=trajectories,
-        n_frames=8,
-        config=streaming_config(),
-        seed=args.seed,
+        models, source = _load_models(args.models), "loaded"
+    else:
+        models = WorkloadModelTable.calibrate(scenes, seed=args.seed, **calibration)
+        source = "calibrated"
+    print(f"digest pipeline: {len(models)} workload model(s) {source}")
+    return models
+
+
+def _content_config(args: argparse.Namespace) -> ContentCacheConfig | None:
+    if not args.content_cache:
+        return None
+    return ContentCacheConfig(pose_quant=args.pose_quant)
+
+
+def _stream_server(args, models) -> StreamServer:
+    return StreamServer(
+        workers=args.workers,
+        placement=args.placement,
+        max_inflight=args.max_inflight,
+        content_cache=_content_config(args),
+        models=models,
     )
 
 
-def _run_fleet(args: argparse.Namespace) -> int:
-    models = _fleet_models(args)
-    if models is not None:
-        print(
-            f"digest pipeline: {len(models)} workload model(s) "
-            + ("loaded" if args.models is not None else "calibrated")
+def _print_content_economics(totals: dict) -> None:
+    parts = [
+        f"{level} {econ['hits']}/{econ['accesses']} ({econ['hit_rate']:.0%})"
+        for level, econ in economics_to_dict(totals).items()
+    ]
+    print(f"content cache hits by tier: {', '.join(parts) or 'no lookups'}")
+
+
+def _content_fields(args, totals: dict, **extra) -> dict:
+    """The JSON report's content-cache fields; none when it is off."""
+    if not args.content_cache:
+        return {}
+    economics = economics_to_dict(totals)
+    return {"content_cache": economics, "pose_quant": args.pose_quant, **extra}
+
+
+def _write(path: str, text: str) -> None:
+    """Print ``text`` when ``path`` is ``-``, else write it to ``path``."""
+    if path == "-":
+        print(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+
+
+# ----------------------------------------------------------------------
+# The main command: hand-built sessions on one server
+# ----------------------------------------------------------------------
+def make_sessions(args: argparse.Namespace) -> list[StreamSession]:
+    """Deterministic per-client sessions from the CLI arguments."""
+    backend = "approx" if args.render_mode == "approx" else args.backend
+    adaptive = args.target_fps is not None and args.qos == "adaptive"
+    config = streaming_config(
+        backend=backend, cache_policy=args.cache_policy
+    )
+    if args.shards > 1 and not adaptive:
+        # No controller to escalate: every frame shards statically.
+        config = replace(config, shards=args.shards)
+    qos = None
+    if adaptive:
+        qos = QoSPolicy(max_shards=args.shards)
+    elif args.target_fps is not None:
+        qos = QoSPolicy.fixed()
+    return [
+        StreamSession(
+            session_id=f"{args.scene}-{args.trajectory}-{i}",
+            scene=args.scene,
+            trajectory=CameraTrajectory.for_scene(
+                CATALOG[args.scene],
+                kind=args.trajectory,
+                n_frames=args.frames,
+                seed=args.seed + i,
+                detail=args.detail,
+                phase_deg=i * 360.0 / args.sessions,
+            ),
+            detail=args.detail,
+            config=config,
+            target_fps=args.target_fps,
+            qos=qos,
+            pipeline=args.pipeline,
         )
-    generator = TrafficGenerator(
+        for i in range(args.sessions)
+    ]
+
+
+def _run(args: argparse.Namespace) -> int:
+    sessions = make_sessions(args)
+    # Environment, not a process-global override: worker processes
+    # spawned during the run inherit it, so every worker renders with
+    # the same tolerance.  Restored afterwards for the calling process.
+    previous = os.environ.get(APPROX_TOLERANCE_ENV_VAR)
+    if args.tolerance is not None:
+        os.environ[APPROX_TOLERANCE_ENV_VAR] = str(args.tolerance)
+    try:
+        # Self-calibration: one exact render of the requested workload,
+        # then every session digests from it.
+        models = _digest_models(
+            args,
+            [args.scene],
+            details=(args.detail,),
+            trajectories=(args.trajectory,),
+            n_frames=min(args.frames, 8),
+            config=sessions[0].config,
+        )
+        with _stream_server(args, models) as server:
+            server.warm_up()
+            results, summary = server.serve_timed(sessions)
+            content_totals = server.content_totals
+    finally:
+        if previous is None:
+            os.environ.pop(APPROX_TOLERANCE_ENV_VAR, None)
+        else:
+            os.environ[APPROX_TOLERANCE_ENV_VAR] = previous
+
+    with_qos = args.target_fps is not None
+    columns = {
+        "session": lambda r: r.session_id,
+        "worker": lambda r: r.worker,
+        "frames": lambda r: r.report.n_frames,
+        "cold hit": lambda r: r.report.cold_hit_rate,
+        "warm hit": lambda r: r.report.warm_hit_rate,
+        "bin reuse": lambda r: r.report.binning_reuse,
+        "sim FPS": lambda r: r.report.mean_sim_fps,
+        "wall FPS": lambda r: r.report.wall_fps,
+    }
+    if with_qos:
+        columns["miss rate"] = lambda r: r.report.deadline_miss_rate()
+        columns["mean detail"] = lambda r: r.report.mean_detail
+    rows = [[column(r) for column in columns.values()] for r in results]
+    print(format_table(list(columns), rows))
+    print(
+        f"\nserved {summary.total_frames} frames over "
+        f"{summary.workers} worker(s), '{args.placement}' placement: "
+        f"{summary.sim_frames_per_sec:.1f} simulated frames/sec "
+        f"(aggregate), {summary.wall_frames_per_sec:.2f} wall frames/sec"
+    )
+    if with_qos:
+        misses = sum(
+            1
+            for r in results
+            for f in r.report.frames
+            if f.qos is not None and not f.qos.met
+        )
+        print(
+            f"QoS ({args.qos}, {args.target_fps:g} Hz): "
+            f"{misses}/{summary.total_frames} deadline misses"
+        )
+    if args.content_cache:
+        _print_content_economics(content_totals)
+
+    if args.json is not None:
+        payload = {
+            "scene": args.scene,
+            "trajectory": args.trajectory,
+            "pipeline": args.pipeline,
+            "workers": summary.workers,
+            "placement": args.placement,
+            "target_fps": args.target_fps,
+            "qos": args.qos if with_qos else None,
+            "sim_frames_per_sec": summary.sim_frames_per_sec,
+            "wall_frames_per_sec": summary.wall_frames_per_sec,
+            **_content_fields(args, content_totals),
+            "sessions": [r.report.to_dict() for r in results],
+        }
+        _write(args.json, json.dumps(payload, indent=2))
+    return 0
+
+
+# ----------------------------------------------------------------------
+# The `fleet` subcommand: generated traffic over a multi-node fleet
+# ----------------------------------------------------------------------
+#: Fleet table column -> per-node summary field (its JSON key).
+_NODE_COLUMNS = {
+    "sessions": "sessions",
+    "frames": "total_frames",
+    "busy s": "sim_makespan_seconds",
+    "moves": "migrations",
+    "recoveries": "recoveries",
+}
+
+
+def _run_fleet(args: argparse.Namespace) -> int:
+    # Self-calibration covers every (scene, detail, trajectory class)
+    # the mix can emit, at the CLI's global detail multiplier.
+    archetypes = MIXES[args.mix]
+    models = _digest_models(
+        args,
+        sorted({a.scene for a in archetypes}),
+        details=sorted({a.detail * args.detail for a in archetypes}),
+        trajectories=sorted({a.trajectory for a in archetypes}),
+        n_frames=8,
+        config=streaming_config(),
+    )
+    arrivals = TrafficGenerator(
         mix=args.mix,
         rate=args.rate,
         duration=args.duration,
@@ -640,8 +705,7 @@ def _run_fleet(args: argparse.Namespace) -> int:
         detail=args.detail,
         pipeline=args.pipeline,
         compact=args.compact,
-    )
-    arrivals = generator.generate()
+    ).generate()
     with EdgeFleet(
         nodes=args.nodes,
         node_workers=args.node_workers,
@@ -655,24 +719,12 @@ def _run_fleet(args: argparse.Namespace) -> int:
     ) as fleet:
         result = fleet.serve(arrivals)
 
-    rows = []
-    for node_id, summary in sorted(result.node_summaries.items()):
-        rows.append(
-            [
-                node_id,
-                summary.sessions,
-                summary.total_frames,
-                summary.sim_makespan_seconds,
-                summary.migrations,
-                summary.recoveries,
-            ]
-        )
-    print(
-        format_table(
-            ["node", "sessions", "frames", "busy s", "moves", "recoveries"],
-            rows,
-        )
-    )
+    nodes = {
+        node_id: {field: getattr(s, field) for field in _NODE_COLUMNS.values()}
+        for node_id, s in sorted(result.node_summaries.items())
+    }
+    rows = [[node_id, *fields.values()] for node_id, fields in nodes.items()]
+    print(format_table(["node", *_NODE_COLUMNS], rows))
     summary = result.summary
     print(
         f"\nfleet served {summary.sessions} generated sessions "
@@ -714,160 +766,25 @@ def _run_fleet(args: argparse.Namespace) -> int:
             "max_queue_depth": result.max_queue_depth,
             "mean_admission_delay": result.mean_admission_delay,
             "migrations": len(result.migrations),
-            **(
-                {
-                    "content_cache": economics_to_dict(result.content),
-                    "pose_quant": args.pose_quant,
-                    "bundle_intern_hits": result.bundle_intern_hits,
-                    "bundle_intern_misses": result.bundle_intern_misses,
-                }
-                if args.content_cache
-                else {}
+            **_content_fields(
+                args,
+                result.content,
+                bundle_intern_hits=result.bundle_intern_hits,
+                bundle_intern_misses=result.bundle_intern_misses,
             ),
-            "autoscale_events": [
-                {
-                    "action": e.action,
-                    "node": e.node,
-                    "tick": e.tick,
-                    "sim_time": e.sim_time,
-                    "queue_depth": e.queue_depth,
-                    "reaction_ticks": e.reaction_ticks,
-                }
-                for e in result.autoscale_events
-            ],
+            "autoscale_events": [asdict(e) for e in result.autoscale_events],
             "node_summaries": {
-                str(node_id): {
-                    "sessions": s.sessions,
-                    "total_frames": s.total_frames,
-                    "sim_makespan_seconds": s.sim_makespan_seconds,
-                    "migrations": s.migrations,
-                    "recoveries": s.recoveries,
-                }
-                for node_id, s in sorted(result.node_summaries.items())
+                str(node_id): fields for node_id, fields in nodes.items()
             },
         }
-        text = json.dumps(payload, indent=2)
-        if args.json == "-":
-            print(text)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(text + "\n")
+        _write(args.json, json.dumps(payload, indent=2))
     return 0
 
 
 # ----------------------------------------------------------------------
 # The `serve` subcommand: the asyncio gateway over a live server
 # ----------------------------------------------------------------------
-def build_serve_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-stream serve",
-        description="Run the asyncio serving gateway: clients connect "
-        "over TCP, open sessions with a JSON hello, and stream frame "
-        "metadata with checkpoint-backed reconnects "
-        "(see docs/streaming.md, 'Serving gateway').",
-    )
-    parser.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="listen address (default: 127.0.0.1 — loopback only)",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="listen port; 0 binds an ephemeral port and prints it "
-        "(default: 0)",
-    )
-    parser.add_argument(
-        "--http-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="also serve GET /healthz and /stats on this HTTP port "
-        "(0 = ephemeral; default: no HTTP shim)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes; 0 = in-process (default: 0)",
-    )
-    parser.add_argument(
-        "--placement",
-        default="load",
-        choices=PLACEMENTS,
-        help="session->worker policy (default: load)",
-    )
-    parser.add_argument(
-        "--max-inflight",
-        type=int,
-        default=None,
-        metavar="N",
-        help="admission control: serve at most N sessions concurrently "
-        "(default: unlimited)",
-    )
-    parser.add_argument(
-        "--queue-frames",
-        type=int,
-        default=8,
-        metavar="N",
-        help="per-connection send-queue bound; a client this many "
-        "frames behind pauses its own session until it catches up "
-        "(default: 8)",
-    )
-    parser.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="on shutdown, wait this long for connected sessions to "
-        "finish before force-detaching stalled clients (their sessions "
-        "are checkpointed like a disconnect; default: 30)",
-    )
-    parser.add_argument(
-        "--exit-after-sessions",
-        type=int,
-        default=None,
-        metavar="N",
-        help="drain and exit once N sessions have finished and every "
-        "client has disconnected (CI smoke; default: serve until "
-        "SIGINT/SIGTERM)",
-    )
-    _add_pipeline_args(parser)
-    _add_content_cache_args(parser)
-    return parser
-
-
-def validate_serve_args(args: argparse.Namespace) -> None:
-    """Reject invalid serve arguments with :class:`ValidationError`."""
-    if not 0 <= args.port <= 65535:
-        raise ValidationError("--port must be in [0, 65535]")
-    if args.http_port is not None and not 0 <= args.http_port <= 65535:
-        raise ValidationError("--http-port must be in [0, 65535]")
-    if args.workers < 0:
-        raise ValidationError("--workers cannot be negative")
-    if args.max_inflight is not None and args.max_inflight < 1:
-        raise ValidationError("--max-inflight must be at least 1")
-    if args.queue_frames < 2:
-        raise ValidationError("--queue-frames must be at least 2")
-    if args.drain_timeout <= 0:
-        raise ValidationError("--drain-timeout must be positive")
-    if args.exit_after_sessions is not None and args.exit_after_sessions < 1:
-        raise ValidationError("--exit-after-sessions must be at least 1")
-    if args.pipeline == "digest" and args.models is None:
-        # Clients name their scenes at connect time, so there is no
-        # workload to self-calibrate against up front.
-        raise ValidationError(
-            "serve --pipeline digest needs --models (see the "
-            "'calibrate' subcommand)"
-        )
-    _validate_pipeline_args(args)
-    _validate_content_cache_args(args)
-
-
 async def _serve_gateway(args: argparse.Namespace, server) -> int:
-    import signal
-
     # Local import: the asyncio gateway stays out of the non-serving
     # CLI paths entirely.
     from repro.stream.gateway import StreamGateway
@@ -890,10 +807,9 @@ async def _serve_gateway(args: argparse.Namespace, server) -> int:
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
+        # No signal handlers on some platforms or off the main thread.
+        with contextlib.suppress(NotImplementedError, RuntimeError):
             loop.add_signal_handler(signum, stop.set)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass  # platform without signal handlers (e.g. Windows)
     try:
         if args.exit_after_sessions is not None:
             while not stop.is_set():
@@ -923,13 +839,7 @@ async def _serve_gateway(args: argparse.Namespace, server) -> int:
 
 def _run_serve(args: argparse.Namespace) -> int:
     models = _load_models(args.models) if args.models is not None else None
-    server = StreamServer(
-        workers=args.workers,
-        placement=args.placement,
-        max_inflight=args.max_inflight,
-        content_cache=_content_config(args),
-        models=models,
-    )
+    server = _stream_server(args, models)
     try:
         return asyncio.run(_serve_gateway(args, server))
     finally:
@@ -939,110 +849,18 @@ def _run_serve(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # The `calibrate` subcommand: build a workload-model table for digest
 # ----------------------------------------------------------------------
-def build_calibrate_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-stream calibrate",
-        description="Calibrate digest-pipeline workload models by "
-        "running the exact pipeline, and write the table as JSON.",
-    )
-    parser.add_argument(
-        "--scenes",
-        nargs="+",
-        default=["bicycle"],
-        metavar="SCENE",
-        help="catalog scenes to calibrate (default: bicycle)",
-    )
-    parser.add_argument(
-        "--details",
-        nargs="+",
-        type=float,
-        default=[1.0],
-        metavar="D",
-        help="detail rungs to calibrate per scene (default: 1.0)",
-    )
-    parser.add_argument(
-        "--trajectories",
-        nargs="+",
-        default=["orbit"],
-        choices=TRAJECTORIES,
-        metavar="KIND",
-        help="trajectory classes to calibrate (default: orbit)",
-    )
-    parser.add_argument(
-        "--frames",
-        type=int,
-        default=8,
-        help="calibration frames per model (default: 8)",
-    )
-    parser.add_argument(
-        "--backend",
-        default="vectorized",
-        help="render backend for the calibration runs (default: vectorized)",
-    )
-    parser.add_argument(
-        "--cache-policy",
-        default="reuse_distance",
-        choices=sorted(POLICIES),
-        help="reuse-cache policy (default: reuse_distance)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="calibration trajectory seed"
-    )
-    parser.add_argument(
-        "--jitter",
-        type=float,
-        default=0.0,
-        metavar="J",
-        help="deterministic per-frame latency jitter fraction in [0, 1) "
-        "applied by digest streams replaying these models (default: 0)",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="PATH",
-        default="-",
-        help="where to write the model-table JSON (default: stdout)",
-    )
-    return parser
-
-
-def validate_calibrate_args(args: argparse.Namespace) -> None:
-    """Reject invalid calibration arguments with :class:`ValidationError`."""
-    for scene in args.scenes:
-        if scene not in CATALOG:
-            raise ValidationError(
-                f"unknown scene '{scene}'; choose from "
-                + ", ".join(sorted(CATALOG))
-            )
-    if any(d <= 0 for d in args.details):
-        raise ValidationError("--details must all be positive")
-    if args.frames <= 0:
-        raise ValidationError("--frames must be positive")
-    if args.seed < 0:
-        raise ValidationError("--seed cannot be negative")
-    if not 0.0 <= args.jitter < 1.0:
-        raise ValidationError("--jitter must be in [0, 1)")
-    get_backend(args.backend)
-
-
 def _run_calibrate(args: argparse.Namespace) -> int:
-    config = streaming_config(
-        backend=args.backend, cache_policy=args.cache_policy
-    )
     table = WorkloadModelTable.calibrate(
         args.scenes,
         details=tuple(args.details),
         trajectories=tuple(args.trajectories),
         n_frames=args.frames,
-        config=config,
+        config=streaming_config(backend=args.backend, cache_policy=args.cache_policy),
         seed=args.seed,
         jitter=args.jitter,
     )
-    text = table.to_json()
-    if args.out == "-":
-        print(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+    _write(args.out, table.to_json())
+    if args.out != "-":
         print(
             f"calibrated {len(table)} workload model(s) over "
             f"{len(args.scenes)} scene(s) x {len(args.details)} detail "
@@ -1052,45 +870,30 @@ def _run_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Subcommand -> (parser builder, runner); ``None`` is the main command.
+COMMANDS = {
+    None: (build_parser, _run),
+    "fleet": (build_fleet_parser, _run_fleet),
+    "serve": (build_serve_parser, _run_serve),
+    "calibrate": (build_calibrate_parser, _run_calibrate),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    # Argument-shaped failures exit like argparse does: one line on
-    # stderr and status 2, never a traceback.  That covers validation
-    # AND every ValidationError raised while setting a run up — a
-    # missing or malformed --models file surfaces here, not as a
-    # FileNotFoundError/JSONDecodeError traceback.  Non-ValidationError
-    # failures during a serve are server bugs and propagate.
+    # Argument-shaped failures (validation, and any ValidationError
+    # while setting a run up, such as an unreadable --models file) exit
+    # like argparse: one line on stderr, status 2, never a traceback.
+    # Other failures during a serve are server bugs and propagate.
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    build, run = COMMANDS[command]
     try:
-        return _dispatch(argv)
+        args = build().parse_args(argv if command is None else argv[1:])
+        validate(args, command)
+        return run(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _dispatch(argv: list[str]) -> int:
-    # Manual subcommand dispatch keeps the original flat argument set
-    # (and every existing invocation) working unchanged.
-    if argv and argv[0] == "calibrate":
-        calibrate_args = build_calibrate_parser().parse_args(argv[1:])
-        validate_calibrate_args(calibrate_args)
-        return _run_calibrate(calibrate_args)
-    if argv and argv[0] == "fleet":
-        fleet_args = build_fleet_parser().parse_args(argv[1:])
-        validate_fleet_args(fleet_args)
-        return _run_fleet(fleet_args)
-    if argv and argv[0] == "serve":
-        serve_args = build_serve_parser().parse_args(argv[1:])
-        validate_serve_args(serve_args)
-        return _run_serve(serve_args)
-    args = build_parser().parse_args(argv)
-    validate_args(args)
-    sessions = make_sessions(args)
-    if args.tolerance is not None:
-        # Environment, not a process-global override: worker processes
-        # inherit the environment, so approx renders use the same
-        # tolerance on every worker.
-        os.environ[APPROX_TOLERANCE_ENV_VAR] = str(args.tolerance)
-    return _run(args, sessions)
 
 
 if __name__ == "__main__":

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from repro.errors import ValidationError
 from repro.scenes.catalog import CATALOG
 from repro.stream.checkpoint import SessionCheckpoint
-from repro.stream.pipeline import PIPELINES, FrameRecord, StreamReport
+from repro.stream.pipeline import FrameRecord, StreamReport
 from repro.stream.qos import QoSPolicy
 from repro.stream.reporting import (
     ConnectionStats,
@@ -69,8 +69,8 @@ from repro.stream.reporting import (
     frame_evidence,
     report_evidence,
 )
-from repro.stream.server import StreamSession
-from repro.stream.trajectory import TRAJECTORY_KINDS, CameraTrajectory
+from repro.stream.server import StreamSession, check_session_field
+from repro.stream.trajectory import CameraTrajectory
 
 __all__ = [
     "GatewayClient",
@@ -145,18 +145,27 @@ async def read_message(reader: asyncio.StreamReader) -> dict | None:
 def _number(value, cast, label: str):
     """Coerce a client-supplied numeric field.
 
-    Malformed input (``"x"``, a list, ...) raises
-    :class:`ValidationError` — the documented ``error`` reply — rather
-    than the bare ``ValueError``/``TypeError`` the handler does not
-    catch (which would drop the connection with an unhandled task
-    exception instead of answering).
+    Malformed input (``"x"``, a list, ``Infinity`` as an int, ...)
+    raises :class:`ValidationError` — the documented ``error`` reply —
+    rather than the bare ``ValueError``/``TypeError``/``OverflowError``
+    the handler does not catch (which would drop the connection with an
+    unhandled task exception instead of answering).
     """
     try:
         return cast(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(
             f"'{label}' must be a number, got {value!r}"
         ) from exc
+
+
+def _field(field: str, value, cast=None, label: str | None = None):
+    """Coerce (when ``cast`` is given) and check one descriptor field
+    against the rule it shares with the CLI."""
+    label = label or field
+    if cast is not None:
+        value = _number(value, cast, label)
+    return check_session_field(field, value, f"'{label}'")
 
 
 def session_from_payload(
@@ -164,58 +173,42 @@ def session_from_payload(
 ) -> StreamSession:
     """Build a :class:`StreamSession` from a ``hello`` descriptor.
 
-    Every field is validated; errors come back as
-    :class:`ValidationError` (the gateway relays the message in an
-    ``error`` frame instead of dropping the connection silently).
-    ``default_pipeline`` applies when the descriptor omits
-    ``pipeline`` (the ``repro-stream serve --pipeline`` default).
+    Every field is validated — the fields a session shares with the
+    CLI by :data:`~repro.stream.server.SESSION_FIELD_RULES` — and
+    errors come back as :class:`ValidationError` (the gateway relays
+    the message in an ``error`` frame instead of dropping the
+    connection silently).  ``default_pipeline`` applies when the
+    descriptor omits ``pipeline`` (the ``repro-stream serve
+    --pipeline`` default).
     """
     if not isinstance(payload, dict):
         raise ValidationError("hello needs a 'session' object")
     session_id = payload.get("session_id")
     if not isinstance(session_id, str) or not session_id:
         raise ValidationError("session descriptor needs a 'session_id'")
-    scene = payload.get("scene")
-    if scene not in CATALOG:
-        raise ValidationError(
-            f"unknown scene {scene!r}; choose from "
-            + ", ".join(sorted(CATALOG))
-        )
-    detail = _number(payload.get("detail", 1.0), float, "detail")
+    scene = _field("scene", payload.get("scene"))
+    detail = _field("detail", payload.get("detail", 1.0), float)
     trajectory = payload.get("trajectory") or {}
     if not isinstance(trajectory, dict):
         raise ValidationError("'trajectory' must be a JSON object")
-    kind = trajectory.get("kind", "orbit")
-    if kind not in TRAJECTORY_KINDS:
-        raise ValidationError(
-            f"unknown trajectory kind {kind!r}; choose from "
-            + ", ".join(TRAJECTORY_KINDS)
-        )
-    n_frames = _number(
+    kind = _field("trajectory", trajectory.get("kind", "orbit"), label="kind")
+    n_frames = _field(
+        "frames",
         trajectory.get("n_frames", payload.get("frames", 16)),
         int,
         "n_frames",
     )
-    if n_frames < 1:
-        raise ValidationError("a session needs at least one frame")
-    pipeline = payload.get("pipeline", default_pipeline)
-    if pipeline not in PIPELINES:
-        raise ValidationError(
-            f"unknown pipeline {pipeline!r}; choose from "
-            + ", ".join(PIPELINES)
-        )
-    qos_mode = payload.get("qos", "adaptive")
-    if qos_mode not in ("adaptive", "fixed"):
-        raise ValidationError("'qos' must be 'adaptive' or 'fixed'")
+    pipeline = _field("pipeline", payload.get("pipeline", default_pipeline))
+    qos_mode = _field("qos", payload.get("qos", "adaptive"))
     target_fps = payload.get("target_fps")
     camera = CameraTrajectory.for_scene(
         CATALOG[scene],
         kind,
         n_frames=n_frames,
-        seed=_number(trajectory.get("seed", 0), int, "seed"),
+        seed=_field("seed", trajectory.get("seed", 0), int),
         detail=detail,
-        phase_deg=_number(
-            trajectory.get("phase_deg", 0.0), float, "phase_deg"
+        phase_deg=_field(
+            "phase", trajectory.get("phase_deg", 0.0), float, "phase_deg"
         ),
     )
     return StreamSession(
@@ -227,7 +220,7 @@ def session_from_payload(
         target_fps=(
             None
             if target_fps is None
-            else _number(target_fps, float, "target_fps")
+            else _field("target_fps", target_fps, float)
         ),
         qos=QoSPolicy.fixed() if qos_mode == "fixed" else None,
         pipeline=pipeline,
@@ -426,11 +419,7 @@ class StreamGateway:
             raise ValidationError(
                 "send queue needs at least 2 slots (welcome + frame)"
             )
-        if pipeline not in PIPELINES:
-            raise ValidationError(
-                f"unknown pipeline {pipeline!r}; choose from "
-                + ", ".join(PIPELINES)
-            )
+        check_session_field("pipeline", pipeline, "'pipeline'")
         self.backend = backend
         self.host = host
         self._requested_port = port

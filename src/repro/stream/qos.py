@@ -39,6 +39,11 @@ from dataclasses import dataclass
 
 from repro.errors import ValidationError
 
+#: Session quality modes: ``fixed`` only tracks deadlines, ``adaptive``
+#: walks the detail ladder (the order :func:`~repro.analysis.streaming.
+#: compare_qos` serves them in).
+QOS_MODES = ("fixed", "adaptive")
+
 
 @dataclass(frozen=True)
 class FrameDeadline:

@@ -60,6 +60,7 @@ this.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -71,6 +72,7 @@ from repro.core.gbu import GBUConfig, GBUDevice
 from repro.core.reuse_cache import CacheEconomics
 from repro.errors import SimulationError, ValidationError
 from repro.scenes import BundleCache
+from repro.scenes.catalog import CATALOG
 from repro.stream.checkpoint import (
     SessionCheckpoint,
     capture_checkpoint,
@@ -90,17 +92,24 @@ from repro.stream.pipeline import (
     StreamReport,
     streaming_config,
 )
-from repro.stream.qos import FrameDeadline, QoSPolicy, QualityController
+from repro.stream.qos import (
+    QOS_MODES,
+    FrameDeadline,
+    QoSPolicy,
+    QualityController,
+)
 from repro.stream.reporting import ServeSummary, SessionResult, TickResult
 from repro.stream.scheduler import Migration, StreamScheduler, make_scheduler
-from repro.stream.trajectory import CameraTrajectory
+from repro.stream.trajectory import TRAJECTORY_KINDS, CameraTrajectory
 
 __all__ = [
+    "SESSION_FIELD_RULES",
     "ServeSummary",
     "SessionResult",
     "StreamServer",
     "StreamSession",
     "TickResult",
+    "check_session_field",
 ]
 
 
@@ -159,6 +168,55 @@ class StreamSession:
     @property
     def frame_budget(self) -> int:
         return self.trajectory.n_frames if self.n_frames is None else self.n_frames
+
+
+def _positive(x) -> bool:
+    return math.isfinite(x) and x > 0
+
+
+#: The checks a session descriptor shares with the ``repro-stream``
+#: flags: field -> (predicate, message).  ``{label}`` is the caller's
+#: name for the field (``--detail`` on the command line, ``'detail'``
+#: in a gateway ``hello``) and ``{value!r}`` the rejected value.
+#: Floats must be finite: ``json.loads`` accepts ``NaN``, which passes
+#: every ordering test.
+SESSION_FIELD_RULES = {
+    "scene": (
+        lambda scene: isinstance(scene, str) and scene in CATALOG,
+        "unknown scene {value!r}; choose from " + ", ".join(sorted(CATALOG)),
+    ),
+    "detail": (_positive, "{label} must be positive and finite"),
+    "frames": (
+        lambda n: n >= 1,
+        "{label} must be at least 1: a session needs at least one frame",
+    ),
+    "seed": (lambda seed: seed >= 0, "{label} cannot be negative"),
+    "phase": (math.isfinite, "{label} must be finite"),
+    "target_fps": (_positive, "{label} must be positive and finite"),
+    "qos": (
+        QOS_MODES.__contains__,
+        "{label} must be " + " or ".join(map(repr, QOS_MODES)),
+    ),
+    "pipeline": (
+        PIPELINES.__contains__,
+        "unknown pipeline {value!r}; choose from " + ", ".join(PIPELINES),
+    ),
+    "trajectory": (
+        TRAJECTORY_KINDS.__contains__,
+        "unknown trajectory kind {value!r}; choose from "
+        + ", ".join(TRAJECTORY_KINDS),
+    ),
+}
+
+
+def check_session_field(field: str, value, label: str):
+    """Return ``value`` if it passes ``field``'s rule in
+    :data:`SESSION_FIELD_RULES`, else raise :class:`ValidationError`
+    naming it ``label``."""
+    valid, message = SESSION_FIELD_RULES[field]
+    if not valid(value):
+        raise ValidationError(message.format(label=label, value=value))
+    return value
 
 
 # ----------------------------------------------------------------------

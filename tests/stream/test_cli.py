@@ -1,11 +1,18 @@
 """The repro-stream CLI: argument validation, clean error exits, QoS
 flags, JSON output."""
 
+import asyncio
 import json
+import os
+import re
+import threading
 
 import pytest
 
+from repro.render.approx import APPROX_TOLERANCE_ENV_VAR
 from repro.stream.cli import build_parser, main
+from repro.stream.gateway import GatewayClient
+from repro.stream.server import StreamServer
 
 SMALL = [
     "--scene",
@@ -186,6 +193,27 @@ class TestErrorExits:
         assert exc.value.code == 2
 
 
+FLOAT_FLAGS = [
+    (command, flag)
+    for command, flags in FLAG_SURFACE.items()
+    for flag, (_, _, kind, _) in flags.items()
+    if kind is float
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, flag", FLOAT_FLAGS)
+def test_non_finite_float_flags_are_clean_errors(command, flag, value, capsys):
+    """NaN passes every ``<``/``<=`` check, so each float flag must be
+    rejected up front: exit 2, one ``error:`` line, no traceback or
+    hang."""
+    argv = ([] if command is None else [command]) + [flag, value]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and flag in err[0]
+
+
 class TestServing:
     def test_small_serve_prints_table(self, capsys):
         assert main(SMALL) == 0
@@ -343,6 +371,28 @@ class TestRenderModeAndShards:
         out = capsys.readouterr().out
         assert "frames" in out
 
+    @pytest.mark.parametrize("preset", [None, "0.1"])
+    def test_tolerance_is_scoped_to_the_run(self, preset, monkeypatch):
+        """--tolerance reaches the serve through the environment (so
+        worker processes inherit it) and is restored afterwards."""
+        if preset is None:
+            monkeypatch.delenv(APPROX_TOLERANCE_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(APPROX_TOLERANCE_ENV_VAR, preset)
+        seen = []
+        warm_up = StreamServer.warm_up
+
+        def spy(server):
+            seen.append(os.environ.get(APPROX_TOLERANCE_ENV_VAR))
+            return warm_up(server)
+
+        monkeypatch.setattr(StreamServer, "warm_up", spy)
+        before = dict(os.environ)
+        args = SMALL + ["--render-mode", "approx", "--tolerance", "0.4"]
+        assert main(args) == 0
+        assert seen == ["0.4"]
+        assert dict(os.environ) == before
+
     def test_static_shard_serve_smoke(self, capsys, tmp_path):
         """Without adaptive QoS, --shards N shards every frame; the
         serve completes and reports all frames."""
@@ -429,3 +479,94 @@ class TestServeSubcommand:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "/no/such.json" in err
+
+
+class TestCalibrateSubcommand:
+    def test_models_round_trip_into_digest_serve(self, capsys, tmp_path):
+        """A table written by ``calibrate --out`` feeds
+        ``--pipeline digest --models`` for the same workload."""
+        table = tmp_path / "models.json"
+        argv = [
+            "calibrate",
+            "--scenes",
+            "nerf_lego",
+            "--details",
+            "0.25",
+            "--trajectories",
+            "frozen",
+            "--frames",
+            "2",
+            "--out",
+            str(table),
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "calibrated 1 workload model(s) over 1 scene(s)" in out
+        assert out.rstrip().endswith(str(table))
+        assert json.loads(table.read_text())
+        argv = SMALL + ["--pipeline", "digest", "--models", str(table)]
+        assert main(argv + ["--json", "-"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("digest pipeline: 1 workload model(s) loaded")
+        payload = json.loads(out[out.index("{"):])
+        assert payload["pipeline"] == "digest"
+        assert len(payload["sessions"][0]["frames"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, match",
+        [
+            (["--scenes", "garden_of_eden"], "garden_of_eden"),
+            (["--details", "0.5", "0"], "--details"),
+            (["--frames", "0"], "--frames"),
+            (["--jitter", "1"], "--jitter"),
+        ],
+    )
+    def test_error_exits(self, argv, match, capsys):
+        assert main(["calibrate", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and match in err
+
+
+class TestServeHappyPath:
+    def test_exit_after_sessions_serves_one_client(self, capsys):
+        """``serve --exit-after-sessions 1`` in-process: read the
+        ``listening on`` line, stream one session over loopback, and
+        the command drains and returns 0."""
+        status = []
+        argv = ["serve", "--exit-after-sessions", "1", "--http-port", "0"]
+        thread = threading.Thread(
+            target=lambda: status.append(main(argv)), daemon=True
+        )
+        thread.start()
+        out = ""
+        for _ in range(600):
+            out += capsys.readouterr().out
+            if "http on" in out:
+                break
+            thread.join(0.05)
+        match = re.search(r"listening on ([\d.]+):(\d+)", out)
+        assert match, out
+
+        async def client():
+            gateway = GatewayClient(match.group(1), int(match.group(2)))
+            await gateway.connect()
+            await gateway.hello(
+                {
+                    "session_id": "cli",
+                    "scene": "nerf_lego",
+                    "frames": 2,
+                    "detail": 0.25,
+                }
+            )
+            frames, end = await gateway.stream()
+            await gateway.bye()
+            await gateway.close()
+            return frames, end
+
+        frames, end = asyncio.run(client())
+        thread.join(60)
+        assert not thread.is_alive()
+        assert status == [0]
+        assert len(frames) == 2 and end is not None
+        out += capsys.readouterr().out
+        assert "served 1 session(s), 2 frame(s) over 1 connection(s)" in out

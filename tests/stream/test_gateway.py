@@ -191,6 +191,17 @@ class TestSessionFromPayload:
             ({"target_fps": "fast"}, "'target_fps'"),
             ({"trajectory": {"seed": "x"}}, "'seed'"),
             ({"trajectory": {"phase_deg": []}}, "'phase_deg'"),
+            # Values the backend would only reject mid-serve (killing
+            # the pump for every client) are refused at the hello.
+            ({"target_fps": 0}, "'target_fps'"),
+            ({"target_fps": -30.0}, "'target_fps'"),
+            ({"target_fps": float("nan")}, "'target_fps'"),
+            ({"detail": float("nan")}, "'detail'"),
+            ({"detail": 0}, "'detail'"),
+            ({"trajectory": {"kind": "head_jitter", "seed": -1}}, "'seed'"),
+            ({"trajectory": {"phase_deg": float("inf")}}, "'phase_deg'"),
+            ({"frames": float("inf")}, "'n_frames'"),
+            ({"scene": ["bicycle"]}, "unknown scene"),
         ],
     )
     def test_invalid_descriptors_raise(self, mutation, match):
@@ -301,6 +312,43 @@ class TestServing:
 
         _, results, _ = run(_with_gateway(scenario))
         assert results == []
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ({"target_fps": 0}, "'target_fps'"),
+            ({"detail": float("nan")}, "'detail'"),
+            ({"trajectory": {"kind": "head_jitter", "seed": -1}}, "'seed'"),
+        ],
+    )
+    def test_bad_hello_leaves_other_sessions_serving(self, bad, match):
+        """A hello the backend would choke on gets an ``error`` reply;
+        a concurrent valid session still streams to its end and a
+        bounded stop returns."""
+
+        async def main():
+            gateway = StreamGateway(StreamServer(workers=0))
+            await gateway.start()
+            good = GatewayClient(gateway.host, gateway.port)
+            await good.connect()
+            await good.hello(_desc("good", frames=3))
+            bad_client = GatewayClient(gateway.host, gateway.port)
+            await bad_client.connect()
+            with pytest.raises(ValidationError, match=match):
+                await bad_client.hello(_desc("bad", **bad))
+            await bad_client.close()
+            frames, end = await good.stream()
+            await good.bye()
+            await good.close()
+            results = await asyncio.wait_for(
+                gateway.stop(drain_timeout=5.0), timeout=30
+            )
+            return frames, end, results
+
+        frames, end, results = run(main())
+        assert [f["frame"] for f in frames] == [0, 1, 2]
+        assert end is not None
+        assert [r.session_id for r in results] == ["good"]
 
     def test_first_message_must_be_hello(self):
         async def scenario(gateway):
