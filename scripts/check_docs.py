@@ -1,25 +1,30 @@
 #!/usr/bin/env python
 """Offline documentation gate.
 
-Two checks, both dependency-free so they run in CI and offline
+Three checks, all dependency-free so they run in CI and offline
 environments alike (``tests/test_docs.py`` wires them into the tier-1
 suite):
 
 1. **Module docstrings** — every module under ``src/repro/`` must open
    with a docstring (the modules are the API reference; an
    undocumented module is a dead end for readers).
-2. **No dead paths** — every repository path referenced from
+2. **No dead docstring paths** — every ``benchmarks/``, ``tests/``,
+   ``scripts/`` or ``docs/`` path that a module, class or function
+   docstring under ``src/repro/`` names in double backticks must exist
+   (a pytest node id is checked up to its ``::``).
+3. **No dead doc paths** — every repository path referenced from
    ``README.md`` and ``docs/*.md`` must exist.  References are
    harvested from markdown link targets, inline code spans and fenced
    code blocks; a token counts as a repository path when it lives
    under a known top-level directory (``src/``, ``docs/``, ``tests/``,
-   ``benchmarks/``, ``examples/``, ``scripts/``, ``.github/``) or is a
-   root-level file name with a documentation-ish extension.  Glob
-   patterns (e.g. ``BENCH_*.json``) pass when they match at least one
-   file.  Literal (non-glob) ``.gitignore`` entries also pass: they
-   name *generated* artifacts (coverage reports, build outputs) that
-   the docs may legitimately describe even though a fresh checkout
-   does not contain them.
+   ``benchmarks/``, ``examples/``, ``scripts/``, ``perfbench/``,
+   ``.github/``) or is a root-level file name with a
+   documentation-ish extension.  Glob patterns (e.g.
+   ``BENCH_*.json``) pass when they match at least one file.  Literal
+   (non-glob) ``.gitignore`` entries also pass: they name *generated*
+   artifacts (coverage reports, build outputs) that the docs may
+   legitimately describe even though a fresh checkout does not
+   contain them.
 
 Usage: python scripts/check_docs.py   (from anywhere; paths resolve
 against the repository root).
@@ -34,7 +39,10 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Directories whose prefixed tokens are treated as repository paths.
-PATH_ROOTS = ("src", "docs", "tests", "benchmarks", "examples", "scripts", ".github")
+PATH_ROOTS = (
+    "src", "docs", "tests", "benchmarks", "examples", "scripts", "perfbench",
+    ".github",
+)
 
 #: Extensions a bare root-level file reference may have.
 ROOT_FILE_EXTENSIONS = (".md", ".json", ".toml", ".py", ".yml", ".cfg", ".txt")
@@ -42,10 +50,23 @@ ROOT_FILE_EXTENSIONS = (".md", ".json", ".toml", ".py", ".yml", ".cfg", ".txt")
 #: Markdown files whose path references are verified.
 DOC_FILES = ("README.md", "docs")
 
+#: Directories whose double-backticked paths in ``src/`` docstrings
+#: are verified.
+DOCSTRING_PATH_ROOTS = ("benchmarks", "tests", "scripts", "docs")
+
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
 _FENCE_RE = re.compile(r"```.*?\n(.*?)```", re.DOTALL)
 _TOKEN_RE = re.compile(r"^[\w.*/-]+$")
+_DOCSTRING_PATH_RE = re.compile(r"``([^`\s]+)``")
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _display(path: Path) -> str:
+    """``path`` relative to the repository root when it lies inside."""
+    if path.is_relative_to(REPO_ROOT):
+        return str(path.relative_to(REPO_ROOT))
+    return str(path)
 
 
 def check_module_docstrings(src_root: Path) -> list[str]:
@@ -55,12 +76,32 @@ def check_module_docstrings(src_root: Path) -> list[str]:
         try:
             tree = ast.parse(path.read_text(), filename=str(path))
         except SyntaxError as exc:  # pragma: no cover - tree must parse
-            messages.append(f"{path.relative_to(REPO_ROOT)}: syntax error: {exc.msg}")
+            messages.append(f"{_display(path)}: syntax error: {exc.msg}")
             continue
         if ast.get_docstring(tree) is None:
-            messages.append(
-                f"{path.relative_to(REPO_ROOT)}:1: missing module docstring"
-            )
+            messages.append(f"{_display(path)}:1: missing module docstring")
+    return messages
+
+
+def check_docstring_paths(src_root: Path) -> list[str]:
+    """Every repository path a docstring under ``src_root`` names in
+    double backticks (under :data:`DOCSTRING_PATH_ROOTS`) must exist."""
+    messages = []
+    for path in sorted(src_root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, _DOCUMENTED):
+                continue
+            doc = ast.get_docstring(node, clean=False)
+            if doc is None:
+                continue
+            for match in _DOCSTRING_PATH_RE.finditer(doc):
+                token = match.group(1).split("::", 1)[0]
+                if token.split("/", 1)[0] not in DOCSTRING_PATH_ROOTS:
+                    continue
+                if not (REPO_ROOT / token).exists():
+                    line = node.body[0].lineno + doc.count("\n", 0, match.start())
+                    messages.append(f"{_display(path)}:{line}: dead path '{token}'")
     return messages
 
 
@@ -167,7 +208,9 @@ def collect_doc_files() -> list[Path]:
 
 
 def main() -> int:
-    failures = check_module_docstrings(REPO_ROOT / "src" / "repro")
+    src_root = REPO_ROOT / "src" / "repro"
+    failures = check_module_docstrings(src_root)
+    failures += check_docstring_paths(src_root)
     failures += check_doc_paths(collect_doc_files())
     for message in failures:
         print(message)
@@ -175,7 +218,10 @@ def main() -> int:
         print(f"{len(failures)} documentation error(s)")
         return 1
     n_docs = len(collect_doc_files())
-    print(f"docs OK: all modules docstringed, no dead paths in {n_docs} file(s)")
+    print(
+        "docs OK: all modules docstringed, no dead paths in src/ "
+        f"docstrings or {n_docs} doc file(s)"
+    )
     return 0
 
 

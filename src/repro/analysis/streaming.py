@@ -16,22 +16,22 @@ The scheduling half (:func:`compare_placements`) serves a *skewed*
 session mix — heavy long streams interleaved with light short ones, the
 arrival order chosen so round-robin stacks the heavy sessions on one
 worker — under every placement policy and reports makespan plus
-per-frame latency percentiles.  ``benchmarks/bench_scheduler.py``
-records it as ``BENCH_scheduler.json``.
+per-frame latency percentiles.  ``tests/stream/test_scheduler.py``
+asserts its makespan floor.
 
 The QoS half (:func:`compare_qos`) serves a mixed heavy/light load
 against a per-frame deadline in both quality modes — ``fixed`` (the
 requested detail, misses be damned) and ``adaptive`` (the closed-loop
 controller of :mod:`repro.stream.qos`) — and reports deadline-miss
-rates and delivered detail.  ``benchmarks/bench_qos.py`` records it as
-``BENCH_qos.json``.
+rates and delivered detail.  ``tests/stream/test_qos.py`` asserts
+its miss-rate and detail floors.
 
 The fleet half (:func:`fleet_scaling_study`) serves one *generated*
 open-loop Poisson traffic trace (:mod:`repro.stream.traffic`) on
 fleets of increasing node count (:mod:`repro.stream.fleet`) and
 reports per-count serving throughput, queue behaviour and cross-node
-migrations — the multi-node scaling picture
-``benchmarks/bench_fleet.py`` records as ``BENCH_fleet.json``.
+migrations — the multi-node scaling picture whose floors
+``tests/stream/test_fleet.py`` asserts.
 """
 
 from __future__ import annotations
@@ -216,8 +216,8 @@ class QoSPoint:
 
     ``mean_scale`` is the mean delivered detail relative to each
     session's requested (nominal) detail — 1.0 means full requested
-    quality; the quality floor the QoS benchmark asserts is on this
-    number, so it reads the same at any nominal detail.
+    quality; the quality floor ``tests/stream/test_qos.py`` asserts is
+    on this number, so it reads the same at any nominal detail.
     """
 
     mode: str
@@ -374,8 +374,8 @@ class FleetScalingComparison:
     """Every fleet size served the identical generated arrival trace.
 
     ``scaling`` is the simulated serving-throughput ratio between the
-    largest and the smallest fleet — the acceptance number
-    ``benchmarks/bench_fleet.py`` asserts a floor on.
+    largest and the smallest fleet — the number whose floor
+    ``tests/stream/test_fleet.py`` asserts.
     """
 
     mix: str

@@ -8,8 +8,9 @@ pipeline split: a :class:`DigestFrameStream` advances a session's
 rates, content-cache keys and economics, and the QoS detail trace —
 from :class:`WorkloadModel` s calibrated against real renders, without
 touching pixels.  That is what lets the scheduler, QoS controller,
-router and autoscaler be driven at 10^5+ concurrent sessions
-(``benchmarks/bench_digest_scale.py``).
+router and autoscaler be driven at 10^4+ concurrent sessions
+(the ``digest_herd`` workload of ``perfbench/``; the simulated floors
+live in ``tests/stream/test_digest.py``).
 
 Design rules, in order of priority:
 
@@ -35,8 +36,8 @@ Design rules, in order of priority:
   detail-ladder decisions away from deadline boundaries, and
   ``sim_seconds`` within :data:`SIM_SECONDS_REL_TOL` (exact when the
   calibration trajectory matches).  :func:`assert_trace_agreement`
-  is the reusable checker; ``tests/stream/test_digest.py`` and the
-  scale benchmark both go through it.
+  is the reusable checker; ``tests/stream/test_digest.py`` goes
+  through it on every calibrated model.
 
 Known approximation: a mid-stream detail switch indexes the *new*
 rung's model at the current absolute frame index, so the temporal

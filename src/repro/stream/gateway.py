@@ -984,7 +984,7 @@ class StreamGateway:
 class GatewayClient:
     """Minimal asyncio client for the gateway's wire protocol.
 
-    Used by the offline test suite and the loopback benchmark; real
+    Used by the offline test suite and ``perfbench/``; real
     viewers only need the framing above, not this class.
     """
 

@@ -150,7 +150,7 @@ class QoSPolicy:
         The controller pins detail at the nominal value and only
         records met/missed — the baseline the adaptive mode is
         compared against in ``analysis/streaming.py`` and
-        ``benchmarks/bench_qos.py``.
+        ``tests/stream/test_qos.py``.
         """
         return QoSPolicy(min_detail=1.0, max_detail=1.0, increase=0.0)
 

@@ -511,7 +511,7 @@ class StreamServer:
         With ``workers >= 1``, keep that many *in-process* worker
         states instead of spawning processes — full scheduling,
         batching and recovery semantics, fully deterministic, no IPC.
-        Used by tests and the scheduler benchmark.
+        Used by tests and the placement and QoS studies.
     estimator:
         Override the static per-frame cost proxy
         (:func:`~repro.stream.scheduler.static_frame_estimate`);
@@ -609,7 +609,7 @@ class StreamServer:
         #: rendering worker's cumulative busy seconds when the frame
         #: finished.  Unlike a frame's own ``sim_seconds`` this *does*
         #: depend on placement (queueing behind co-scheduled sessions),
-        #: so it is the response-time metric the scheduler benchmark
+        #: so it is the response-time metric the placement study
         #: compares across policies.
         self.frame_completions: dict[str, list[float]] = {}
         # Incremental-serving state (between begin() and finish()).
@@ -1182,7 +1182,7 @@ class StreamServer:
     def warm_up(self) -> float:
         """Spin up every worker process (imports + allocator warmup).
 
-        Returns the wall seconds spent; benchmarks call this before
+        Returns the wall seconds spent; the CLI calls this before
         timing so pool start-up is not billed to throughput.
         """
         t0 = time.perf_counter()

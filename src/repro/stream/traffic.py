@@ -254,7 +254,7 @@ class TrafficGenerator:
         build — required at 10^5+ sessions, where camera-path
         construction dominates generation.  Compact sessions cannot
         feed the exact pipeline's content-addressed cache (no per-frame
-        poses); digest-scale benchmarks are their home.
+        poses); digest-pipeline fleets at scale are their home.
     """
 
     def __init__(

@@ -19,6 +19,24 @@ from repro.gaussians import (
 )
 
 
+@pytest.fixture
+def exact_renders(monkeypatch):
+    """Scene names of the exact-pipeline frame renders made during the
+    test, one entry per device render; content-cache and digest serves
+    add none.  Counts calls, never times them."""
+    from repro.stream.pipeline import FrameStream
+
+    calls = []
+    render = FrameStream._render_via_device
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.spec.name)
+        return render(self, *args, **kwargs)
+
+    monkeypatch.setattr(FrameStream, "_render_via_device", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)

@@ -1,7 +1,7 @@
 """Content-addressed render cache: tier mechanics, key derivation,
 canonical poses, cross-session dedup byte-identity, per-tier economics,
 the chaos matrix (crash / migration at every frame x cache
-temperature), and the fleet-tier smoke.
+temperature), and the fleet tier.
 
 The load-bearing invariant throughout: the content cache changes host
 wall-clock only, never simulated physics.  A dedup-served frame must
@@ -270,15 +270,15 @@ def test_bundle_intern_shares_one_build():
 # ----------------------------------------------------------------------
 # Serving-path dedup: byte identity, economics, transparency
 # ----------------------------------------------------------------------
-def _twin_sessions(n_frames=N_FRAMES):
-    """Two co-located viewers on the identical orbit — the dedup case."""
+def _viewers(n_frames=N_FRAMES, count=2):
+    """Co-located viewers on the identical orbit — the dedup case."""
     spec = CATALOG["bicycle"]
     traj = CameraTrajectory.for_scene(spec, "orbit", n_frames=n_frames,
                                       detail=DETAIL)
     return [
         StreamSession(f"viewer-{tag}", "bicycle", traj, detail=DETAIL,
                       keep_images=True)
-        for tag in ("a", "b")
+        for tag in "abcd"[:count]
     ]
 
 
@@ -303,7 +303,7 @@ def _evidence(report):
 def twin_baseline():
     """The twin serve without any content cache."""
     with StreamServer(workers=0) as server:
-        return server.serve(_twin_sessions())
+        return server.serve(_viewers())
 
 
 def test_dedup_serves_identical_frames_and_counts_them(twin_baseline):
@@ -311,7 +311,7 @@ def test_dedup_serves_identical_frames_and_counts_them(twin_baseline):
     image, identical simulated timing, and the per-tier counters say
     exactly where every frame came from."""
     with StreamServer(workers=0, content_cache=ContentCacheConfig()) as server:
-        results = server.serve(_twin_sessions())
+        results = server.serve(_viewers())
         totals = dict(server.content_totals)
     viewer_a, viewer_b = results
     assert [f.served_from for f in viewer_a.report.frames] == [None] * N_FRAMES
@@ -340,8 +340,27 @@ def test_dedup_serves_identical_frames_and_counts_them(twin_baseline):
     assert totals["node"].hit_rate == 0.0
 
 
+@pytest.mark.parametrize("viewers", [1, 2, 4])
+def test_identical_viewers_render_each_frame_once(viewers, exact_renders):
+    """The dedup floor, counted instead of timed: V viewers on one
+    8-frame orbit make V*8 worker-tier lookups with (V-1)*8 hits, and
+    the exact pipeline renders 8 frames with the cache on against V*8
+    with it off."""
+    renders = {}
+    for cached in (False, True):
+        exact_renders.clear()
+        content = ContentCacheConfig() if cached else None
+        with StreamServer(workers=0, content_cache=content) as server:
+            server.serve(_viewers(n_frames=8, count=viewers))
+            totals = dict(server.content_totals)
+        renders[cached] = len(exact_renders)
+    worker = totals["worker"]  # the cache-on serve ran last
+    assert (worker.accesses, worker.hits) == (viewers * 8, (viewers - 1) * 8)
+    assert renders == {False: viewers * 8, True: 8}
+
+
 def test_tick_results_carry_economics_that_sum_to_totals():
-    sessions = _twin_sessions(n_frames=3)
+    sessions = _viewers(n_frames=3)
     with StreamServer(workers=0, content_cache=ContentCacheConfig()) as server:
         server.begin(sessions)
         folded = {}
@@ -358,7 +377,7 @@ def test_tick_results_carry_economics_that_sum_to_totals():
 
 def test_served_from_appears_only_on_dedup_frames_in_to_dict():
     with StreamServer(workers=0, content_cache=ContentCacheConfig()) as server:
-        viewer_a, viewer_b = server.serve(_twin_sessions(n_frames=2))
+        viewer_a, viewer_b = server.serve(_viewers(n_frames=2))
     for frame_dict in viewer_a.report.to_dict()["frames"]:
         assert "served_from" not in frame_dict
     for frame_dict in viewer_b.report.to_dict()["frames"]:
@@ -370,7 +389,7 @@ def test_pose_quantization_dedups_within_a_session():
     a static scene shares one content address: frame 0 renders, the
     rest are served from the session tier with frame 0's image."""
     quant = 1e6
-    session = _twin_sessions(n_frames=4)[0]
+    session = _viewers(n_frames=4)[0]
     # Predict the dedup pattern from the lattice itself: a frame is
     # served from cache iff its eye's cell was already rendered.
     seen: dict[tuple, int] = {}
@@ -398,7 +417,7 @@ def test_subprocess_workers_dedup_within_their_tier():
     """Process-pool workers carry session+worker tiers on their side of
     the boundary (no shared node tier), and still match the in-process
     serve byte for byte."""
-    sessions = _twin_sessions(n_frames=3)
+    sessions = _viewers(n_frames=3)
     with StreamServer(workers=0, content_cache=ContentCacheConfig()) as server:
         baseline = server.serve(sessions)
     with StreamServer(workers=1, content_cache=ContentCacheConfig()) as server:
@@ -438,7 +457,7 @@ def chaos_content_baselines():
         with StreamServer(
             workers=0, content_cache=_content_cfg(temperature)
         ) as server:
-            out[temperature] = server.serve(_twin_sessions(CHAOS_FRAMES))
+            out[temperature] = server.serve(_viewers(CHAOS_FRAMES))
     return out
 
 
@@ -448,7 +467,7 @@ def test_cache_temperature_is_invisible_to_physics(chaos_content_baselines):
     with StreamServer(workers=0) as server:
         reference = {
             r.session_id: r.report
-            for r in server.serve(_twin_sessions(CHAOS_FRAMES))
+            for r in server.serve(_viewers(CHAOS_FRAMES))
         }
     for temperature in TEMPERATURES:
         for result in chaos_content_baselines[temperature]:
@@ -459,7 +478,7 @@ def test_cache_temperature_is_invisible_to_physics(chaos_content_baselines):
     with StreamServer(
         workers=0, content_cache=_content_cfg("mid_eviction")
     ) as server:
-        server.serve(_twin_sessions(CHAOS_FRAMES))
+        server.serve(_viewers(CHAOS_FRAMES))
         assert server._node_tier.evictions > 0
 
 
@@ -482,7 +501,7 @@ def test_chaos_crash_replay_of_dedup_served_sessions(
         fault_injector=injector,
         max_respawns=4,
     ) as server:
-        recovered = server.serve(_twin_sessions(CHAOS_FRAMES))
+        recovered = server.serve(_viewers(CHAOS_FRAMES))
         assert server.recoveries >= 1
     for before, after in zip(chaos_content_baselines[temperature], recovered):
         assert _evidence(before.report) == _evidence(after.report)
@@ -505,7 +524,7 @@ def test_chaos_migration_of_dedup_served_session(
     src = StreamServer(workers=0, content_cache=cfg)
     dst = StreamServer(workers=0, content_cache=cfg)
     try:
-        src.begin(_twin_sessions(CHAOS_FRAMES))
+        src.begin(_viewers(CHAOS_FRAMES))
         for _ in range(migrate_tick):
             src.step()
         moved, checkpoint, report = src.extract_session("viewer-b")
@@ -531,17 +550,18 @@ def test_chaos_migration_of_dedup_served_session(
 # Fleet tier
 # ----------------------------------------------------------------------
 @pytest.mark.fleet
-def test_fleet_tier_dedups_across_nodes():
-    """Two viewers split across two nodes by the least-loaded router:
-    the second node's lookups miss session/worker/node and hit the
-    fleet tier, and the shared bundle intern builds the scene once.
-    (This is the CI content-cache smoke.)"""
-    sessions = _twin_sessions(n_frames=8)
+@pytest.mark.parametrize("viewers", [2, 4])
+def test_fleet_tier_dedups_across_nodes(viewers):
+    """Viewers split across two nodes by the least-loaded router: the
+    second node's lookups miss session/worker/node and hit the fleet
+    tier (the >= 1 fleet-hit floor), and the shared bundle intern
+    builds the scene once."""
+    sessions = _viewers(n_frames=8, count=viewers)
     with StreamServer(workers=0) as server:
         baseline = {r.session_id: r.report for r in server.serve(sessions)}
     with EdgeFleet(
         nodes=2,
-        node_capacity=1,
+        node_capacity=viewers // 2,
         router="least",
         migration=False,
         content_cache=ContentCacheConfig(),

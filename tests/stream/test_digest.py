@@ -37,6 +37,7 @@ from repro.stream.content_cache import (
 )
 from repro.stream.digest import WorkloadModel
 from repro.stream.qos import FrameDeadline, QoSPolicy, QualityController
+from repro.stream.traffic import MIXES, TrafficGenerator
 
 pytestmark = pytest.mark.digest
 
@@ -54,6 +55,21 @@ def _table(scene="bicycle", kind="orbit", detail=DETAIL):
         n_frames=N_CAL_FRAMES,
         config=streaming_config(),
         seed=0,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _light_mix_table():
+    """Models for every (scene, detail, trajectory) the light traffic
+    mix draws, calibrated on seed 7."""
+    archetypes = MIXES["light"]
+    return WorkloadModelTable.calibrate(
+        sorted({a.scene for a in archetypes}),
+        details=sorted({a.detail * DETAIL for a in archetypes}),
+        trajectories=sorted({a.trajectory for a in archetypes}),
+        n_frames=N_CAL_FRAMES,
+        config=streaming_config(),
+        seed=7,
     )
 
 
@@ -342,6 +358,26 @@ def test_fidelity_grid(config):
         assert exact.key_trace  # the grid actually exercised the keys
 
 
+def test_fidelity_on_every_light_mix_model():
+    """Calibrate the light traffic mix's whole (scene, detail,
+    trajectory) grid, then replay each model's calibration trajectory
+    through both pipelines: no mismatch, sim_seconds error exactly 0."""
+    models = _light_mix_table()
+    assert len(models) == 4
+    for model in models.models:
+        spec = CATALOG[model.scene]
+        trajectory = CameraTrajectory.for_scene(
+            spec, model.trajectory, n_frames=N_CAL_FRAMES, seed=7,
+            detail=model.detail,
+        )
+        agreement = assert_trace_agreement(
+            FrameStream(spec, trajectory, detail=model.detail).run(),
+            DigestFrameStream(spec, trajectory, models, detail=model.detail).run(),
+        )
+        assert agreement.mismatches == []
+        assert agreement.max_sim_rel_err == 0.0
+
+
 def test_fidelity_assertion_rejects_divergence():
     exact, digest = _fidelity_pair()
     exact_report = exact.run(4)
@@ -446,6 +482,25 @@ def test_server_requires_models_for_digest():
             server.serve(_digest_sessions(n=1))
 
 
+def test_digest_serve_renders_no_exact_frame(exact_renders):
+    """The digest speedup, counted instead of timed: a digest serve
+    makes zero exact-pipeline renders yet reports the calibrated
+    sim_seconds of every frame."""
+    trajectory = _trajectory()
+    exact = FrameStream(CATALOG["bicycle"], trajectory, detail=DETAIL).run()
+    table = _table()
+    exact_renders.clear()
+    session = StreamSession(
+        "d", "bicycle", trajectory, detail=DETAIL, pipeline="digest"
+    )
+    with StreamServer(workers=0, models=table) as server:
+        (result,) = server.serve([session])
+    assert exact_renders == []
+    assert [f.sim_seconds for f in result.report.frames] == [
+        f.sim_seconds for f in exact.frames
+    ]
+
+
 def test_server_serves_mixed_pipelines():
     sessions = _digest_sessions(n=2)
     sessions.append(
@@ -510,7 +565,11 @@ def test_fleet_migration_preserves_digest_reports():
 
 
 @pytest.mark.fleet
-def test_fleet_active_router_tracks_peak_concurrency():
+@pytest.mark.parametrize("sessions", [8, 12])
+def test_fleet_active_router_tracks_peak_concurrency(sessions):
+    """2 x 4 slots: a herd at capacity is admitted at once; a herd
+    above it fills every slot, backs up the router queue, and is
+    still served to the last session."""
     fleet = EdgeFleet(
         nodes=2,
         router="active",
@@ -520,7 +579,31 @@ def test_fleet_active_router_tracks_peak_concurrency():
         models=_table(),
     )
     with fleet:
-        result = fleet.serve_sessions(_digest_sessions(n=8, n_frames=4))
+        result = fleet.serve_sessions(_digest_sessions(n=sessions, n_frames=4))
     assert result.peak_active == 8
+    assert (result.max_queue_depth > 0) == (sessions > 8)
+    assert result.summary.sessions == sessions
     assert max(result.active_trace) == result.peak_active
     assert len(result.active_trace) == len(result.queue_depth_trace)
+
+
+@pytest.mark.fleet
+def test_affinity_migration_probe_serves_every_session():
+    """~2,000 compact light-mix digest sessions on 8 affinity-routed
+    nodes (0.64 of the slots) with rebalancing on: the migration probe
+    moves sessions and still serves every one (measured 2,038
+    sessions, 7 single-hop moves)."""
+    light = [
+        a.session
+        for a in TrafficGenerator(
+            mix="light", rate=4000.0, duration=0.5, seed=7, detail=DETAIL,
+            pipeline="digest", compact=True,
+        ).generate()
+    ]
+    with EdgeFleet(
+        nodes=8, node_capacity=400, router="affinity", placement="rr",
+        migration=True, migration_threshold=0.3, models=_light_mix_table(),
+    ) as fleet:
+        result = fleet.serve_sessions(light)
+    assert result.summary.sessions == len(light)
+    assert len(result.migrations) >= 1

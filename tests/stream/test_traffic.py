@@ -147,24 +147,38 @@ def test_compact_sessions_ride_the_digest_pipeline():
 
 
 @pytest.mark.parametrize(
-    "profile",
-    [None, RateProfile("diurnal", floor=0.2), RateProfile("ramp", floor=0.2)],
+    "profile, mix, rate, duration, seed",
+    [
+        (None, "mixed", 2500.0, 4.0, 3),
+        (RateProfile("diurnal", floor=0.2), "mixed", 2500.0, 4.0, 3),
+        (RateProfile("ramp", floor=0.2), "mixed", 2500.0, 4.0, 3),
+        (None, "light", 3500.0, 3.0, 7),
+        (RateProfile("diurnal", floor=0.2), "light", 3500.0, 0.6, 7),
+        (RateProfile("ramp", floor=0.2), "light", 3500.0, 0.6, 7),
+    ],
+    ids=[
+        "None", "profile1", "profile2",
+        "light-constant", "light-diurnal", "light-ramp",
+    ],
 )
-def test_arrival_counts_match_analytic_expectation(profile):
-    """At 10^4-session scale the thinned-Poisson arrival count must sit
-    within a few standard deviations of rate x duration x mean
-    multiplier (the 10^5-rate variant runs in the scale benchmark)."""
+def test_arrival_counts_match_analytic_expectation(
+    profile, mix, rate, duration, seed
+):
+    """At 10^3-10^4-session scale the thinned-Poisson arrival count
+    must sit within 5 standard deviations of rate x duration x mean
+    multiplier, for every rate profile."""
     gen = _gen(
-        rate=2500.0,
-        duration=4.0,
-        seed=3,
+        mix=mix,
+        rate=rate,
+        duration=duration,
+        seed=seed,
         profile=profile,
         pipeline="digest",
         compact=True,
     )
     expected = gen.expected_sessions()
     mult = 1.0 if profile is None else profile.mean_multiplier
-    assert expected == pytest.approx(2500.0 * 4.0 * mult)
+    assert expected == pytest.approx(rate * duration * mult)
     n = len(gen.generate())
     # Poisson-dominated spread; 5 sigma keeps the test seed-robust.
     assert abs(n - expected) < 5.0 * np.sqrt(expected)
