@@ -127,7 +127,8 @@ class IRSSTransform:
         """
         th = float(self.thresholds[index])
         x_start, ypp = self.row_start(index, x0, y)
-        remaining = th - ypp * ypp
+        y_sq = ypp * ypp
+        remaining = th - y_sq
         if remaining < 0.0:
             return (0, -1)
         half_width = np.sqrt(remaining)
@@ -137,6 +138,17 @@ class IRSSTransform:
         # x''(c) = x_start + c * dx in [-half_width, +half_width].
         c0 = int(np.ceil((-half_width - x_start) / dx))
         c1 = int(np.floor((half_width - x_start) / dx))
+        # The sqrt bounds can miss a boundary tie by a column; settle
+        # both ends on the test the search and the walk use.
+        inside = lambda c: _inside(x_start, y_sq, dx, th, c)
+        while inside(c0 - 1):
+            c0 -= 1
+        while c0 <= c1 and not inside(c0):
+            c0 += 1
+        while inside(c1 + 1):
+            c1 += 1
+        while c1 >= c0 and not inside(c1):
+            c1 -= 1
         c0 = max(c0, 0)
         c1 = min(c1, width - 1)
         if c0 > c1:
@@ -228,6 +240,18 @@ def compute_transforms_evd(
     )
 
 
+def _inside(x_start: float, y_sq: float, dx: float, th: float, col: int) -> bool:
+    """Eq. 7 at column ``col`` of a row: ``x''(col)^2 + y''^2 <= Th``.
+
+    ``x''(col) = x_start + col * dx`` is evaluated exactly as the
+    renderers shade it.  :meth:`IRSSTransform.row_interval`, the binary
+    search and the walk-off all decide membership here, so they agree
+    on columns that lie exactly on the threshold ellipse.
+    """
+    xpp = x_start + col * dx
+    return xpp * xpp + y_sq <= th
+
+
 def binary_search_first_fragment(
     transform: IRSSTransform, index: int, x0: int, y: int, width: int
 ) -> tuple[int, int]:
@@ -247,7 +271,7 @@ def binary_search_first_fragment(
         return (-1, 0)
     dx = float(transform.u00[index])
     # Step 2: leftmost fragment already inside.
-    if x_start * x_start + y_sq <= th:
+    if _inside(x_start, y_sq, dx, th, 0):
         return (0, 0)
     # Step 3: sign agreement means the ellipse lies left of the tile
     # (x'' grows away from zero) -> no intersection in this tile...
@@ -262,13 +286,12 @@ def binary_search_first_fragment(
     while lo <= hi:
         steps += 1
         midpoint = (lo + hi) // 2
-        x_mid = x_start + midpoint * dx
-        if x_mid * x_mid + y_sq <= th:
+        if _inside(x_start, y_sq, dx, th, midpoint):
             first = midpoint
             hi = midpoint - 1
         else:
             # Decide which side of the circle we are on.
-            if x_mid < 0.0:
+            if x_start + midpoint * dx < 0.0:
                 lo = midpoint + 1
             else:
                 hi = midpoint - 1
@@ -283,17 +306,17 @@ def walk_last_fragment(
     Starting from ``first``, steps right until ``x''^2 + y''^2 > Th``;
     the previous column is the last significant fragment.  This mirrors
     the Row PE behavior: the walk itself is the shading loop, so it
-    costs no extra cycles.
+    costs no extra cycles.  Each step evaluates ``x''`` as the shading
+    does (``x_start + col * dx``) rather than accumulating ``dx``, so
+    the walk ends where :meth:`IRSSTransform.row_interval` does.
     """
     th = float(transform.thresholds[index])
     x_start, ypp = transform.row_start(index, x0, y)
     y_sq = ypp * ypp
     dx = float(transform.u00[index])
     col = first
-    xpp = x_start + first * dx
     while col < width:
-        if xpp * xpp + y_sq > th:
+        if not _inside(x_start, y_sq, dx, th, col):
             return col - 1
         col += 1
-        xpp += dx
     return width - 1

@@ -25,10 +25,10 @@ quality for latency along two axes:
   accumulating.  The residual error per pixel is bounded by the
   discarded transmittance.
 * **Reduced-precision datapath** — any approximating policy renders
-  its bricks in float32 (the exact engines accumulate in float64).
-  The rasterizer sweeps are memory-bound, so halving the brick
-  bandwidth is nearly free speed; the ~1e-7 relative rounding is
-  noise against the culling error above.
+  in float32 (the exact engines accumulate in float64).  The
+  rasterizer sweeps are memory-bound, so halving their bandwidth is
+  nearly free speed; the ~1e-7 relative rounding is noise against the
+  culling error above.
 
 Both knobs fold into one scalar :attr:`ApproxPolicy.tolerance` in
 ``[0, 1]``; tolerance 0 disables both (bit-identical to the exact
@@ -336,13 +336,13 @@ def _approx_settings(
 
 
 def _approx_dtype(settings: RenderSettings, policy: ApproxPolicy) -> type:
-    """Brick precision for one approx render.
+    """Datapath precision for one approx render.
 
     An exact-equivalent policy (nothing culled, no raised termination —
     e.g. tolerance 0) keeps the float64 datapath so the advertised
     bit-identity with ``vectorized`` holds; every approximating policy
     renders in float32, whose ~1e-7 relative error is noise against the
-    culling error but halves the brick bandwidth.
+    culling error but halves the working-set bandwidth.
     """
     exact_equivalent = (
         policy.min_contribution <= 0.0

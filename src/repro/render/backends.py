@@ -8,11 +8,11 @@ implementations with identical observable behavior:
   (IRSS).  These are the numerical ground truth and the easiest code
   to audit against the paper.
 * ``vectorized`` — the instance-batched engine of
-  :mod:`repro.render.vectorized`: depth-slab batching over flat
-  (tile, Gaussian) instance arrays with masked NumPy blending.  It is
-  pixel-exact against the reference (bit-identical images and
-  workload counters; property-tested) and typically an order of
-  magnitude faster.
+  :mod:`repro.render.vectorized`: PFS in depth-slab bricks over flat
+  (tile, Gaussian) instance arrays, IRSS blending only the fragments
+  enumerated from each row's ``[c0, c1]`` segment.  It is pixel-exact
+  against the reference (bit-identical images and workload counters;
+  property-tested) and typically an order of magnitude faster.
 
 Selection is threaded through every render entry point as a
 ``backend=`` keyword; ``backend=None`` resolves to the process-wide
@@ -147,7 +147,10 @@ def _register_builtin_backends() -> None:
             name="vectorized",
             render_pfs=render_pfs_vectorized,
             render_irss=render_irss_vectorized,
-            description="instance-batched depth-slab engine (pixel-exact, fast)",
+            description=(
+                "instance-batched engine: PFS depth slabs, IRSS row segments "
+                "(pixel-exact, fast)"
+            ),
         )
     )
 

@@ -9,27 +9,34 @@ batching work *across* instances rather than iterating them:
 * The per-tile member lists are flattened into padded instance
   matrices, grouped by clipped tile shape (interior tiles batch
   together; edge tiles batch per shape) and sorted by descending
-  instance count so padding stays negligible.
-* **Depth-slab batching:** whole depth slabs of instances are
-  evaluated at once in ``(tile, row, col, depth)`` bricks — depth
-  last, so the sequential-in-depth operations below run on contiguous
-  memory.  Per-pixel front-to-back blending order is preserved by
-  computing the transmittance recurrence
-  ``T_d = T_{d-1} * (1 - alpha_d)`` as an exclusive prefix product
-  (``np.cumprod`` along the depth axis, which multiplies in exactly
-  the reference order), and per-pixel early termination is reproduced
-  by *freezing* the transmittance at its first ``eps`` crossing — the
-  unfrozen tail of the product is only ever read where the blend mask
-  is already false, so the output is unchanged.
-* Eq. 7 conics are evaluated for whole bricks at a time; the
-  exp/alpha path runs only on the ~10% of fragments that pass the
-  threshold test (the reference multiplies the rest by 0 or 1, so
-  they never observe alpha).
+  instance count so padding stays negligible.  Tiles and depths are
+  chunked under one fragment budget.
+* **PFS: depth-slab batching.**  PFS evaluates every pixel by
+  definition, so whole depth slabs of instances are evaluated at once
+  in ``(tile, row, col, depth)`` bricks — depth last, so the
+  sequential-in-depth operations run on contiguous memory.  The
+  transmittance recurrence ``T_d = T_{d-1} * (1 - alpha_d)`` is an
+  in-order prefix product (``np.multiply.accumulate`` along the depth
+  axis), and per-pixel early termination is reproduced by *freezing*
+  the transmittance at its first ``eps`` crossing — the unfrozen tail
+  of the product is only ever read where the blend mask is already
+  false.  The exp/alpha path runs only on fragments that pass the
+  threshold test.
+* **IRSS: segment-driven fragments.**  As in the paper's dataflow,
+  work follows the fragments that exist.  The Step 1–3 row geometry
+  runs per (tile, row, instance); candidate fragments are enumerated
+  only inside each nonempty ``[c0, c1]`` row segment (``np.repeat``
+  over segment lengths), and Eq. 7 and alpha are evaluated on those
+  alone.  A stable sort orders the fragments by pixel, depth order
+  kept within each pixel, and the transmittance is an exact per-pixel
+  scan along a padded ``(rank, pixel run)`` matrix whose padding
+  multiplies by exactly 1.0.  The early-termination counters come from
+  each pixel's ``eps``-crossing depth.
 * The per-pixel color accumulation — the one genuinely sequential
-  float reduction — is performed with ``np.einsum`` (which
-  accumulates the contraction axis in order) or, for continuation
-  chunks and the fp16 datapath, with unbuffered ``np.add.at`` in
-  depth order.  Both reproduce the reference add sequence exactly.
+  float reduction — uses ``np.einsum`` (which accumulates the
+  contraction axis in order) for the first PFS depth slab, and
+  unbuffered ``np.add.at`` in depth order everywhere else.  Both
+  reproduce the reference add sequence exactly.
 
 Both backends are pixel-exact against their references: bit-identical
 images, transmittance, contributor counts, and identical
@@ -38,11 +45,12 @@ images, transmittance, contributor counts, and identical
 This is property-tested in ``tests/render/test_backend_parity.py``.
 
 Both renderers also take a ``dtype`` parameter (default ``float64``,
-the exact datapath).  ``float32`` halves the brick bandwidth — the
-sweeps above are memory-bound — at ~1e-7 relative error; the approx
-backend uses it, where that error is negligible against its culling
-error.  The exactness guarantees above apply to the default dtype
-only.
+the exact datapath).  ``float32`` halves the working-set bandwidth at
+~1e-7 relative error; the approx backend uses it, where that error is
+negligible against its culling error.  Its transmittance is a
+segmented log-cumsum over the same fragments and its colors a float64
+``np.bincount`` per chunk.  The exactness guarantees above apply to
+the default dtype and the fp16 datapath only.
 """
 
 from __future__ import annotations
@@ -160,158 +168,53 @@ def _tile_chunks(batch: _TileBatch, budget: int) -> list[tuple[int, int]]:
     return chunks
 
 
-def _prefix_products(t_in: np.ndarray, la: np.ndarray) -> np.ndarray:
-    """Running transmittance products, in place.
+def _pixel_runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, last)`` flags of each pixel's run of fragments.
 
-    ``la`` is a ``(..., D+1)`` buffer whose slot 0 is free and whose
-    slots ``1..D`` hold each instance's ``(1 - alpha)`` factors (1.0
-    where the instance does not touch the pixel).  On return the
-    buffer holds the inclusive products ``[t_in, t_in*la_1, ...]`` —
-    ``np.multiply.accumulate`` multiplies left to right, the exact
-    order of the reference blending loop.
+    ``key`` is the flat pixel index of fragments sorted by pixel, so
+    each pixel's fragments form one contiguous run in depth order.
     """
-    la[..., 0] = t_in
-    return np.multiply.accumulate(la, axis=-1, out=la)
+    first = np.ones(key.size, dtype=bool)
+    last = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    last[:-1] = first[1:]
+    return first, last
 
 
-def _frozen_transmittance(
-    t_in: np.ndarray, prod: np.ndarray, live: np.ndarray, eps: float
-) -> np.ndarray:
-    """Transmittance after a chunk, with early termination frozen.
-
-    ``prod[..., d]`` is the running (unfrozen) product after instance
-    ``d`` and ``live[...]`` counts its entries above ``eps``.  The
-    physical recurrence stops updating a pixel once it crosses
-    ``eps``; the products are monotone non-increasing, so the entries
-    above ``eps`` form a prefix and the value at the *first* crossing
-    sits at index ``live`` (or the final product if it never crossed,
-    or the incoming value if the pixel was already terminated).
-    """
-    depth = prod.shape[-1]
-    idx = np.minimum(live, depth - 1)
-    frozen = np.take_along_axis(prod, idx[..., None], axis=-1)[..., 0]
-    return np.where(t_in <= eps, t_in, frozen)
-
-
-def _blend_state(
-    tile_t: np.ndarray,
-    frags: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    alpha: np.ndarray,
-    d_span: int,
-    eps: float,
-    acc_dtype: type = np.float64,
+def _exact_scan(
+    t_in: np.ndarray, key: np.ndarray, factors: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Transmittance state for one depth chunk of candidate fragments.
+    """Exact per-pixel transmittance scan over pixel-sorted fragments.
 
-    Scatters the fragments' ``(1 - alpha)`` factors (cast to the
-    accumulator dtype, matching the reference's per-step cast) into a
-    ones brick, runs the in-order prefix product, and derives the
-    activity mask.  Returns ``(prod, active, live)`` where ``prod``
-    has ``d_span + 1`` slots (slot 0 = incoming transmittance),
-    ``active[..., d]`` tests the pre-instance transmittance against
-    ``eps``, and ``live`` counts each pixel's post-instance products
-    above ``eps`` (the frozen-crossing index).
+    Lays each pixel's ``(1 - alpha)`` factors out along the rank axis
+    of a ``(rank + 1, pixel run)`` matrix of ones whose rank-0 row holds
+    the incoming transmittance, then runs ``np.multiply.accumulate``
+    down the rank axis in the accumulator dtype.  That multiplies in
+    exactly the reference order: every padding slot multiplies by 1.0,
+    which is exact.  Returns per fragment the pre- and post-instance
+    transmittance and the flag of each pixel's last fragment.
     """
-    ti, ri, ci, di = frags
-    la = np.ones(tile_t.shape + (d_span + 1,), dtype=acc_dtype)
-    la[ti, ri, ci, di + 1] = (1.0 - alpha).astype(acc_dtype)
-    prod = _prefix_products(tile_t, la)
-    act_all = prod > eps
-    return prod, act_all[..., :-1], act_all[..., 1:].sum(axis=-1)
+    first, last = _pixel_runs(key)
+    run = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    rank = np.arange(key.size) - starts[run]
+    prod = np.ones((int(rank.max(initial=-1)) + 2, starts.size), dtype=t_in.dtype)
+    prod[0] = t_in[key[starts]]
+    prod[rank + 1, run] = factors
+    np.multiply.accumulate(prod, axis=0, out=prod)
+    return prod[rank, run], prod[rank + 1, run], last
 
 
-def _blend_chunk(
-    tile_rgb: np.ndarray,
-    tile_n: np.ndarray,
-    tile_t: np.ndarray,
-    prod: np.ndarray,
-    live: np.ndarray,
-    frags: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    blend_at: np.ndarray,
-    alpha: np.ndarray,
-    colors: np.ndarray,
-    first_chunk: bool,
-    fp16: bool,
-    eps: float,
-) -> tuple[np.ndarray, int]:
-    """Blend one depth chunk into the framebuffer tiles, in place.
+def _log_scan(
+    t_in: np.ndarray, key: np.ndarray, alpha: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduced-precision per-pixel transmittance over sorted fragments.
 
-    This is the bit-exactness-critical accumulation shared by both
-    dataflows.  The per-pixel color sum is the one order-sensitive
-    float reduction: the first depth chunk uses ``np.einsum`` (the
-    accumulator starts at the gathered zeros and einsum sums the
-    contraction axis in order — the exact reference sequence);
-    continuation chunks and the fp16 datapath use unbuffered
-    ``np.add.at``, which preserves the per-pixel depth order exactly.
-    Returns the frozen next-chunk transmittance and the number of
-    blended fragments.
+    The approx counterpart of :func:`_exact_scan`, with the same
+    outputs: per-pixel exclusive prefix products are a segmented
+    log-cumsum over the fragment array.  The small (log/exp)
+    rounding is why this path is reserved for the approx datapath.
     """
-    ti, ri, ci, di = frags
-    rows, cols = tile_n.shape[1], tile_n.shape[2]
-    if fp16:
-        t_vals = prod[ti, ri, ci, di].astype(np.float64)
-        w16 = np.where(blend_at, t_vals * alpha, 0.0).astype(np.float16)
-        contrib = (
-            w16[:, None].astype(np.float64) * colors[ti, di]
-        ).astype(np.float16)
-        np.add.at(tile_rgb, (ti, ri, ci), contrib)
-    else:
-        weight = np.zeros(tile_t.shape + (prod.shape[-1] - 1,), dtype=prod.dtype)
-        weight[ti, ri, ci, di] = np.where(
-            blend_at, prod[ti, ri, ci, di] * alpha, 0.0
-        )
-        if first_chunk:
-            tile_rgb += np.einsum(
-                "trcd,tdk->trck", weight, colors, optimize=False
-            )
-        else:
-            wi = np.nonzero(weight)
-            np.add.at(
-                tile_rgb,
-                (wi[0], wi[1], wi[2]),
-                weight[wi][:, None] * colors[wi[0], wi[3]],
-            )
-    key = (ti * rows + ri) * cols + ci
-    tile_n += (
-        np.bincount(key[blend_at], minlength=tile_n.size)
-        .reshape(tile_n.shape)
-        .astype(np.int32)
-    )
-    next_t = _frozen_transmittance(tile_t, prod[..., 1:], live, eps)
-    return next_t, int(np.count_nonzero(blend_at))
-
-
-def _sparse_state(
-    tile_t: np.ndarray,
-    frags: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    alpha: np.ndarray,
-    d_span: int,
-    eps: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-fragment transmittance state without the dense brick.
-
-    The reduced-precision (approx) counterpart of :func:`_blend_state`:
-    fragments arrive from ``np.nonzero`` in ``(tile, row, col, depth)``
-    lexicographic order, so each pixel's fragments form one contiguous
-    run in depth order.  Per-pixel exclusive prefix products are then a
-    segmented log-cumsum over the fragment array — work proportional to
-    the fragments that exist instead of the whole
-    ``(tile, row, col, depth)`` brick.  The small (log/exp) rounding is
-    why this path is reserved for the approx datapath.
-
-    Returns ``(t_before, active, key, n_active, t_out, row_limit)``:
-    per-fragment pre-instance transmittance and activity, the flat
-    pixel key per fragment, the per-``(tile, depth)`` count of
-    still-active pixels (the dense path's ``active.sum(axis=(1, 2))``),
-    the frozen post-chunk transmittance, and per ``(tile, row)`` the
-    last depth index at which any of its pixels was active (-1 if
-    none; drives the IRSS row bookkeeping).
-    """
-    ti, ri, ci, di = frags
-    n_tiles, rows, cols = tile_t.shape
-    npix = tile_t.size
-    key = (ti * rows + ri) * cols + ci
-    t_in = tile_t.reshape(-1)
     la = 1.0 - alpha  # alpha is capped at alpha_max < 1, so log is safe
     # float64 keeps the cross-segment rounding of the shared cumsum far
     # below the output's float32 quantum, so sharded approx renders stay
@@ -319,84 +222,112 @@ def _sparse_state(
     logs = np.log(la, dtype=np.float64)
     excl = np.cumsum(logs)
     excl -= logs  # exclusive prefix: product of earlier fragments
-    n_frags = key.size
-    first = np.empty(n_frags, dtype=bool)
-    last = np.empty(n_frags, dtype=bool)
-    if n_frags:
-        first[0] = True
-        first[1:] = key[1:] != key[:-1]
-        last[-1] = True
-        last[:-1] = first[1:]
-        seg_id = np.cumsum(first) - 1
-        base = excl[first]
-        t_before = t_in[key] * np.exp(excl - base[seg_id])
-    else:
-        t_before = excl  # empty
-    t_after = t_before * la
-    active = t_before > eps
-    crossing = active & (t_after <= eps)  # at most one per pixel
+    first, last = _pixel_runs(key)
+    run = np.cumsum(first) - 1
+    t_before = t_in[key] * np.exp(excl - excl[first][run])
+    return t_before, t_before * la, last
 
-    # Per-pixel frozen transmittance and last-active depth index.
+
+def _chunk_transmittance(
+    tile_t: np.ndarray,
+    key: np.ndarray,
+    depth: np.ndarray,
+    alpha: np.ndarray,
+    d_span: int,
+    eps: float,
+    exact: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Transmittance state of one depth chunk of pixel-sorted fragments.
+
+    ``key`` is each fragment's flat pixel index within the tile chunk
+    and ``depth`` its depth index within the chunk.  ``exact`` selects
+    the in-order scan (fp64 and the fp16 Row-PE datapath, in the
+    accumulator dtype) over the approx log-cumsum.
+
+    Early termination follows from each pixel's ``eps`` crossing: a
+    pixel is active at every depth up to the fragment whose product
+    first drops to ``eps`` (all of them if it never does, none if it
+    entered the chunk already terminated), and its transmittance
+    freezes there.
+
+    Returns ``(t_before, active, n_live, row_limit, t_out)``: each
+    fragment's pre-instance transmittance and whether it still blends;
+    per ``(tile, depth)`` the count of still-active pixels; per
+    ``(tile, row)`` the last depth index at which any of its pixels was
+    active (-1 if none); and the frozen post-chunk transmittance.
+    """
+    t_in = tile_t.reshape(-1)
+    if exact:
+        factors = (1.0 - alpha).astype(t_in.dtype)
+        t_before, t_after, last = _exact_scan(t_in, key, factors)
+    else:
+        t_before, t_after, last = _log_scan(t_in, key, alpha)
+    active = t_before > eps
+
     entered = t_in > eps
     limit = np.where(entered, d_span - 1, -1)
     t_out = t_in.copy()
-    if n_frags:
-        tail_key = key[last]
-        t_out[tail_key] = np.where(
-            entered[tail_key], t_after[last], t_in[tail_key]
-        )
-        t_out[key[crossing]] = t_after[crossing]
-        limit[key[crossing]] = di[crossing]
+    tail = key[last]
+    t_out[tail] = np.where(entered[tail], t_after[last], t_in[tail])
+    crossing = active & (t_after <= eps)  # at most one per pixel
+    t_out[key[crossing]] = t_after[crossing]
+    limit[key[crossing]] = depth[crossing]
 
-    # active-pixel counts per (tile, depth): a histogram of last-active
+    # Active-pixel counts per (tile, depth): a histogram of last-active
     # depths, suffix-summed (limit >= d  <=>  active at depth d).
+    n_tiles, rows, cols = tile_t.shape
     tile_of_pix = np.repeat(np.arange(n_tiles, dtype=np.int64), rows * cols)
     hist = np.bincount(
         tile_of_pix * (d_span + 1) + limit + 1,
         minlength=n_tiles * (d_span + 1),
     ).reshape(n_tiles, d_span + 1)
-    n_active = np.cumsum(hist[:, ::-1], axis=1)[:, ::-1][:, 1:]
-
-    row_limit = limit.reshape(n_tiles, rows, cols).max(axis=2)
-    return (
-        t_before,
-        active,
-        key,
-        n_active,
-        t_out.reshape(n_tiles, rows, cols),
-        row_limit,
-    )
+    n_live = np.cumsum(hist[:, ::-1], axis=1)[:, ::-1][:, 1:]
+    row_limit = limit.reshape(tile_t.shape).max(axis=2)
+    return t_before, active, n_live, row_limit, t_out.reshape(tile_t.shape)
 
 
-def _sparse_blend(
+def _blend_fragments(
     tile_rgb: np.ndarray,
     tile_n: np.ndarray,
     key: np.ndarray,
     blend_at: np.ndarray,
     t_before: np.ndarray,
     alpha: np.ndarray,
-    frag_colors: np.ndarray,
+    colors: np.ndarray,
+    gauss: np.ndarray,
+    ordered: bool,
 ) -> int:
-    """Scatter-blend active fragments into the framebuffer tiles.
+    """Blend the active pixel-sorted fragments into the tiles, in place.
 
-    The approx counterpart of :func:`_blend_chunk`: one ``np.bincount``
-    per channel over the fragments only.  ``np.bincount`` adds weights
-    in scan order, so each pixel still accumulates front to back.
-    Returns the number of blended fragments.
+    ``colors`` is channel-major ``(3, M)`` and ``gauss`` holds each
+    fragment's Gaussian.  Inactive fragments would add exactly zero and
+    are skipped.  The per-pixel color sum is the one order-sensitive
+    float reduction.  ``ordered`` (the exact datapaths) adds with
+    unbuffered ``np.add.at`` in fragment order, which is depth order
+    within each pixel — the reference sequence, fp16 rounding of the
+    Row-PE accumulator included.  Otherwise (approx) one float64
+    ``np.bincount`` per channel sums the chunk front to back before a
+    single add into the accumulator.  Returns the number of blended
+    fragments.
     """
-    weight = np.where(blend_at, t_before * alpha, 0.0)
-    npix = tile_n.size
-    flat_rgb = tile_rgb.reshape(npix, 3)
+    key = key[blend_at]
+    gauss = gauss[blend_at]
+    weight = t_before[blend_at].astype(np.float64) * alpha[blend_at]
+    flat_rgb = tile_rgb.reshape(-1, 3)
+    if flat_rgb.dtype == np.float16:
+        weight = weight.astype(np.float16).astype(np.float64)
     for ch in range(3):
-        flat_rgb[:, ch] += np.bincount(
-            key, weights=weight * frag_colors[:, ch], minlength=npix
-        ).astype(flat_rgb.dtype)
+        contrib = weight * colors[ch][gauss]
+        if ordered:  # one 1-D add.at per channel takes numpy's fast path
+            np.add.at(flat_rgb[:, ch], key, contrib.astype(flat_rgb.dtype))
+        else:
+            flat_rgb[:, ch] += np.bincount(
+                key, weights=contrib, minlength=tile_n.size
+            ).astype(flat_rgb.dtype)
     tile_n += (
-        np.bincount(key[blend_at], minlength=npix)
-        .reshape(tile_n.shape)
-        .astype(np.int32)
+        np.bincount(key, minlength=tile_n.size).reshape(tile_n.shape).astype(np.int32)
     )
-    return int(np.count_nonzero(blend_at))
+    return int(key.size)
 
 
 # ----------------------------------------------------------------------
@@ -430,7 +361,8 @@ def render_pfs_vectorized(
     means2d = projected.means2d.astype(dtype, copy=False)
     opacities = projected.opacities.astype(dtype, copy=False)
     thresholds = projected.thresholds.astype(dtype, copy=False)
-    colors = projected.colors.astype(dtype, copy=False)
+    colors = np.ascontiguousarray(projected.colors.T, dtype=dtype)  # (3, M)
+    exact = dtype is np.float64
 
     for batch in build_tile_batches(lists):
         rows, cols = batch.rows, batch.cols
@@ -481,39 +413,26 @@ def render_pfs_vectorized(
                 # Alpha only matters at threshold-passing fragments (the
                 # reference multiplies by 0 / 1 elsewhere), so evaluate
                 # the exp on the masked ~10% of fragments only.
-                frags = np.nonzero(cmask)
-                ti, ri, ci, di = frags
+                ti, ri, ci, di = np.nonzero(cmask)
                 alpha = opacities[g[ti, di]] * np.exp(-0.5 * power[ti, ri, ci, di])
                 alpha = np.minimum(alpha, settings.alpha_max)
 
-                if dtype is np.float64:
-                    prod, active, live = _blend_state(
-                        tile_t, frags, alpha, d1 - d0, eps, dtype
-                    )
-                    n_active = active.sum(axis=(1, 2))  # (T, D)
-                    blend_at = active[ti, ri, ci, di]
-                else:
-                    t_before, blend_at, pkey, n_active, t_out, _ = (
-                        _sparse_state(tile_t, frags, alpha, d1 - d0, eps)
-                    )
+                # np.nonzero yields (tile, row, col, depth) order: already
+                # sorted by pixel, depth-ordered within each pixel.
+                key = (ti * rows + ri) * cols + ci
+                t_before, blend_at, n_active, _, tile_t = _chunk_transmittance(
+                    tile_t, key, di, alpha, d1 - d0, eps, exact
+                )
                 n_active *= valid
                 shaded = int(n_active.sum())
                 stats.instances_processed += int(np.count_nonzero(n_active))
                 stats.fragments_shaded += shaded
                 stats.eq7_flops += shaded * FLOPS.pfs_flops_per_fragment
 
-                if dtype is np.float64:
-                    tile_t, blended = _blend_chunk(
-                        tile_rgb, tile_n, tile_t, prod, live, frags, blend_at,
-                        alpha, colors[g], first_chunk=d0 == 0, fp16=False,
-                        eps=eps,
-                    )
-                else:
-                    blended = _sparse_blend(
-                        tile_rgb, tile_n, pkey, blend_at, t_before, alpha,
-                        colors[g[ti, di]],
-                    )
-                    tile_t = t_out
+                blended = _blend_fragments(
+                    tile_rgb, tile_n, key, blend_at, t_before, alpha,
+                    colors, g[ti, di], ordered=exact,
+                )
                 stats.fragments_significant += blended
                 # Whole-chunk early termination: once every pixel of the
                 # tile chunk has crossed eps, the remaining depth chunks
@@ -541,20 +460,39 @@ def render_pfs_vectorized(
 class _CastFeatures:
     """Per-Gaussian feature record cast once to the compute dtype.
 
-    The reduced-precision (non-fp16) datapath: same attribute layout as
+    The fp64 and reduced-precision datapaths: same attribute layout as
     ``_Fp16Features`` so the gather code below is shared.
     """
 
     def __init__(
         self, projected: Projected2D, transform: IRSSTransform, dtype: type
     ) -> None:
-        self.u00 = transform.u00.astype(dtype)
-        self.u01 = transform.u01.astype(dtype)
-        self.u11 = transform.u11.astype(dtype)
-        self.thresholds = transform.thresholds.astype(dtype)
-        self.colors = projected.colors.astype(dtype)
-        self.opacities = projected.opacities.astype(dtype)
-        self.means2d = transform.means2d.astype(dtype)
+        self.u00 = transform.u00.astype(dtype, copy=False)
+        self.u01 = transform.u01.astype(dtype, copy=False)
+        self.u11 = transform.u11.astype(dtype, copy=False)
+        self.thresholds = transform.thresholds.astype(dtype, copy=False)
+        self.colors = projected.colors.astype(dtype, copy=False)
+        self.opacities = projected.opacities.astype(dtype, copy=False)
+        self.means2d = transform.means2d.astype(dtype, copy=False)
+
+
+def _segment_candidates(
+    nonempty: np.ndarray, c0: np.ndarray, c1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Enumerate the columns of every nonempty row segment ``[c0, c1]``.
+
+    Returns ``(seg, cand, col)``: the flat ``(tile, row, depth)``
+    indices of the nonempty segments, then per candidate fragment the
+    position of its segment in ``seg`` and its column — in
+    ``(tile, row, depth, column)`` order.
+    """
+    seg = np.flatnonzero(nonempty)
+    start = c0.reshape(-1)[seg]
+    length = c1.reshape(-1)[seg] - start + 1
+    cand = np.repeat(np.arange(seg.size), length)
+    # column = start + (candidate position - its segment's first position)
+    col = np.arange(cand.size) - np.repeat(np.cumsum(length) - length - start, length)
+    return seg, cand, col
 
 
 def render_irss_vectorized(
@@ -567,9 +505,10 @@ def render_irss_vectorized(
 ) -> IRSSRenderResult:
     """Vectorized IRSS rasterizer — pixel-exact vs. ``render_irss``.
 
-    ``dtype`` selects the brick / accumulator precision; the pixel-exact
-    guarantee holds for the default ``float64`` only.  ``fp16`` (the
-    Row-PE datapath) takes precedence over ``dtype``.
+    ``dtype`` selects the geometry / accumulator precision; the
+    pixel-exact guarantee holds for the default ``float64`` and for
+    ``fp16`` (the Row-PE datapath), which takes precedence over
+    ``dtype``.
     """
     if lists is None:
         lists = build_render_lists(projected)
@@ -600,16 +539,17 @@ def render_irss_vectorized(
 
     if fp16:
         features = _Fp16Features(projected, transform)
-    elif dtype is not np.float64:
-        features = _CastFeatures(projected, transform, dtype)
     else:
-        features = None
+        features = _CastFeatures(projected, transform, dtype)
+    # fp16 and fp64 share the exact transmittance scan; the float32
+    # approx datapath keeps the log-cumsum scan.
+    exact = fp16 or dtype is np.float64
+    colors = np.ascontiguousarray(features.colors.T)  # channel-major gathers
     geo_dtype = np.float64 if fp16 else dtype
     eps = settings.transmittance_eps
 
     for batch in build_tile_batches(lists):
         rows, cols = batch.rows, batch.cols
-        col_idx = np.arange(cols, dtype=geo_dtype)
         search_latency = max(int(np.ceil(np.log2(max(cols, 2)))), 1)
 
         for t0, t1 in _tile_chunks(batch, CHUNK_FRAGMENT_BUDGET):
@@ -632,27 +572,15 @@ def render_irss_vectorized(
             d_step = max(CHUNK_FRAGMENT_BUDGET // (n_tiles * rows * cols), 1)
             for d0 in range(0, depth, d_step):
                 d1 = min(depth, d0 + d_step)
+                d_span = d1 - d0
                 m = members[:, d0:d1]
                 valid = m >= 0
                 g = np.where(valid, m, 0)
-
-                if features is not None:
-                    u00 = features.u00[g]
-                    u01 = features.u01[g]
-                    u11 = features.u11[g]
-                    th = features.thresholds[g]
-                    mean = features.means2d[g]
-                    color = features.colors[g]
-                    opacity = features.opacities[g]
-                else:
-                    u00 = transform.u00[g]
-                    u01 = transform.u01[g]
-                    u11 = transform.u11[g]
-                    th = transform.thresholds[g]
-                    mean = transform.means2d[g]
-                    color = projected.colors[g]
-                    opacity = projected.opacities[g]
-                th = np.where(valid, th, -np.inf)
+                u00 = features.u00[g]
+                u01 = features.u01[g]
+                u11 = features.u11[g]
+                mean = features.means2d[g]
+                th = np.where(valid, features.thresholds[g], -np.inf)
 
                 # Per-row transformed coordinates of the leftmost pixel
                 # center (all geometry is transmittance-independent).
@@ -690,45 +618,43 @@ def render_irss_vectorized(
                     & ~outside_left
                 )
 
-                # Shade: E = x''^2 + y''^2 with x'' = x_start + c * dx''.
-                xpp = (
-                    x_start[:, :, None, :]
-                    + col_idx[None, None, :, None] * u00[:, None, None, :]
+                # Shade only inside the row segments: E = x''^2 + y''^2
+                # with x'' = x_start + c * dx''.  The sqrt bounds can
+                # admit a boundary column that fails Eq. 7, so the
+                # threshold test stays.
+                seg, cand, col = _segment_candidates(nonempty, c0, c1)
+                seg_row, seg_depth = np.divmod(seg, d_span)  # row = t*rows + r
+                seg_inst = seg_row // rows * d_span + seg_depth  # flat (t, d)
+                xpp = x_start.reshape(-1)[seg][cand] + col.astype(geo_dtype) * (
+                    u00.reshape(-1)[seg_inst][cand]
                 )
                 if fp16:
                     xpp = xpp.astype(np.float16).astype(np.float64)
-                # power = xpp^2 + y_sq, squaring the brick in place.
                 power = np.multiply(xpp, xpp, out=xpp)
-                power += y_sq[:, :, None, :]
-                cmask = (
-                    nonempty[:, :, None, :]
-                    & (col_idx[None, None, :, None] >= c0[:, :, None, :])
-                    & (col_idx[None, None, :, None] <= c1[:, :, None, :])
-                    & (power <= th[:, None, None, :])
-                )
-
-                frags = np.nonzero(cmask)
-                ti, ri, ci, di = frags
-                alpha = opacity[ti, di] * np.exp(-0.5 * power[ti, ri, ci, di])
+                power += y_sq.reshape(-1)[seg][cand]
+                inside = power <= th.reshape(-1)[seg_inst][cand]
+                frag_seg = cand[inside]
+                key = seg_row[frag_seg] * cols + col[inside]
+                # Pixel-major order; the stable sort keeps each pixel's
+                # fragments in depth order (a 16-bit key sorts by radix).
+                small = np.uint16 if n_tiles * rows * cols <= 1 << 16 else np.int64
+                order = np.argsort(key.astype(small), kind="stable")
+                key = key[order]
+                frag_seg = frag_seg[order]
+                frag_depth = seg_depth[frag_seg]
+                gauss = g.reshape(-1)[seg_inst[frag_seg]]
+                alpha = features.opacities[gauss] * np.exp(-0.5 * power[inside][order])
                 if fp16:
                     alpha = alpha.astype(np.float16).astype(np.float64)
                 alpha = np.minimum(alpha, settings.alpha_max)
 
-                if fp16 or dtype is np.float64:
-                    prod, active, live = _blend_state(
-                        tile_t, frags, alpha, d1 - d0, eps, acc_dtype
-                    )
-                    n_live = active.sum(axis=(1, 2))  # (T, D)
-                    row_active = active.any(axis=2)  # (T, rows, D)
-                    blend_at = active[ti, ri, ci, di]
-                else:
-                    t_before, blend_at, pkey, n_live, t_out, row_limit = (
-                        _sparse_state(tile_t, frags, alpha, d1 - d0, eps)
-                    )
-                    row_active = (
-                        row_limit[:, :, None]
-                        >= np.arange(d1 - d0, dtype=np.int64)[None, None, :]
-                    )
+                t_before, blend_at, n_live, row_limit, tile_t = _chunk_transmittance(
+                    tile_t, key, frag_depth, alpha, d_span, eps, exact
+                )
+                row_active = (
+                    row_limit[:, :, None]
+                    >= np.arange(d_span, dtype=np.int64)[None, None, :]
+                )
 
                 # Early-termination bookkeeping: an instance is
                 # "processed" iff any of its tile's pixels was still
@@ -781,17 +707,10 @@ def render_irss_vectorized(
                 )
                 workload.instance_max_run[tids] += seg_len.max(axis=1).sum(axis=1)
 
-                if fp16 or dtype is np.float64:
-                    tile_t, blended = _blend_chunk(
-                        tile_rgb, tile_n, tile_t, prod, live, frags, blend_at,
-                        alpha, color, first_chunk=d0 == 0, fp16=fp16, eps=eps,
-                    )
-                else:
-                    blended = _sparse_blend(
-                        tile_rgb, tile_n, pkey, blend_at, t_before, alpha,
-                        color[ti, di],
-                    )
-                    tile_t = t_out
+                blended = _blend_fragments(
+                    tile_rgb, tile_n, key, blend_at, t_before, alpha,
+                    colors, gauss, ordered=exact,
+                )
                 stats.fragments_blended += blended
                 # Exact whole-chunk early termination (see the PFS loop).
                 if not (tile_t > eps).any():

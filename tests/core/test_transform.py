@@ -8,7 +8,7 @@ closed-form interval oracle.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ValidationError
@@ -163,6 +163,9 @@ class TestHardwareSearch:
         y=st.integers(0, 15),
     )
     @settings(max_examples=150, deadline=None)
+    # On the threshold ellipse: column 1 of row 0 rounds to
+    # x''^2 = 2.0000000000000004 > Th while sqrt(Th) / dx'' is exactly 1.
+    @example(conic=np.array([2.0, 0.0, 1.0]), mx=0.5, my=0.5, th=2.0, y=0)
     def test_search_matches_oracle(self, conic, mx, my, th, y):
         t = compute_transforms(
             conic[None, :], np.array([[mx, my]]), np.array([th])

@@ -10,6 +10,9 @@ quality band instead of golden bytes.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +23,7 @@ from repro.core.irss import render_irss
 from repro.errors import ValidationError
 from repro.gaussians import build_render_lists, render_reference
 from repro.metrics.image import psnr, ssim
-from repro.render import get_backend, list_backends
+from repro.render import get_backend, list_backends, render_irss_vectorized
 from repro.render.approx import (
     APPROX_TOLERANCE_ENV_VAR,
     DEFAULT_TOLERANCE,
@@ -36,6 +39,13 @@ from repro.render.approx import (
 )
 
 from repro.gaussians import Camera, GaussianCloud, project
+
+
+#: sha256 of ``_scene(7, 600)`` rendered by the float32 IRSS datapath
+#: (image, transmittance, n_contrib bytes, then the stats tuple's repr).
+FLOAT32_IRSS_SHA256 = (
+    "eed256a883ba43ebe436e7908cddbccb9be9d83c8622576b3302fb88211a8475"
+)
 
 
 def _scene(seed: int, n: int, width: int = 72, height: int = 56):
@@ -207,6 +217,22 @@ class TestQuality:
         assert appr_pfs.stats == exact_pfs.stats
         np.testing.assert_array_equal(appr_irss.image, exact_irss.image)
         assert appr_irss.stats == exact_irss.stats
+
+    def test_float32_irss_render_is_pinned(self):
+        """The approx datapath's float32 IRSS render, pinned by digest.
+
+        Its log-cumsum transmittance scan rounds differently when the
+        fragments of a depth chunk change, so this digest fails if the
+        tile or depth chunking moves.  The scene's deepest tile (501
+        instances) spans two depth chunks at the default budget.
+        """
+        projected = _scene(7, 600)
+        result = render_irss_vectorized(projected, dtype=np.float32)
+        digest = hashlib.sha256()
+        for array in (result.image, result.transmittance, result.n_contrib):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        digest.update(repr(dataclasses.astuple(result.stats)).encode())
+        assert digest.hexdigest() == FLOAT32_IRSS_SHA256
 
     def test_default_tolerance_quality_band(self):
         """Quality-banded golden: at the default tolerance the default

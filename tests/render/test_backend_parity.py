@@ -16,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.render.vectorized as vectorized
+from repro.config import TRANSMITTANCE_EPS
 from repro.core.irss import render_irss, render_irss_loop
 from repro.gaussians import Camera, GaussianCloud, build_render_lists, project
+from repro.gaussians.projection import Projected2D
 from repro.gaussians.rasterizer import render_reference, render_reference_loop
 from repro.render import (
     get_backend,
@@ -27,6 +29,7 @@ from repro.render import (
     set_default_backend,
     use_backend,
 )
+from repro.scenes.catalog import build_scene
 
 WORKLOAD_FIELDS = (
     "row_fragments",
@@ -54,6 +57,28 @@ def _scene(seed: int, n: int, width: int = 72, height: int = 56,
         eye=[0.1, 0.2, -2.0], target=[0, 0, 0], width=width, height=height
     )
     return project(cloud, camera)
+
+
+def _handmade(means2d, conics, thresholds, opacities, size):
+    """Projected Gaussians given directly in screen space, front first."""
+    n = len(means2d)
+    conics = np.asarray(conics, dtype=np.float64)
+    cov2d = np.linalg.inv(
+        np.stack([conics[:, [0, 1]], conics[:, [1, 2]]], axis=1)
+    )
+    rng = np.random.default_rng(n)
+    return Projected2D(
+        means2d=np.asarray(means2d, dtype=np.float64),
+        cov2d=cov2d,
+        conics=conics,
+        depths=np.arange(1.0, n + 1.0),
+        colors=rng.uniform(0.1, 0.9, size=(n, 3)),
+        opacities=np.asarray(opacities, dtype=np.float64),
+        radii=np.full(n, 3.0 * max(size)),
+        thresholds=np.asarray(thresholds, dtype=np.float64),
+        source_index=np.arange(n),
+        image_size=size,
+    )
 
 
 def assert_pfs_exact(projected, lists=None):
@@ -108,10 +133,12 @@ class TestEdgeCases:
         assert len(empty) == 0
         assert_pfs_exact(empty)
         assert_irss_exact(empty)
+        assert_irss_exact(empty, fp16=True)
 
     def test_single_gaussian(self):
         assert_pfs_exact(_scene(3, 1))
         assert_irss_exact(_scene(3, 1))
+        assert_irss_exact(_scene(3, 1), fp16=True)
 
     def test_opaque_overlap_triggers_early_termination(self):
         """Many opaque Gaussians stacked on one spot force the
@@ -131,6 +158,51 @@ class TestEdgeCases:
             projected = _scene(5, 60, width=width, height=height)
             assert_pfs_exact(projected)
             assert_irss_exact(projected)
+            assert_irss_exact(projected, fp16=True)
+
+    def test_segments_without_fragments(self):
+        """A row segment whose only column is a boundary tie: the sqrt
+        bounds admit column 15, whose ``x''^2 + y''^2`` rounds to
+        2.0000000000000004 > Th = 2, so the depth chunk has a nonempty
+        segment but no fragment passes Eq. 7."""
+        projected = _handmade(
+            means2d=[[16.5, 8.5]], conics=[[2.0, 0.0, 1.0]], thresholds=[2.0],
+            opacities=[0.9], size=(16, 16),
+        )
+        ref = render_irss_loop(projected)
+        assert ref.workload.row_fragments.sum() == 1
+        assert ref.n_contrib.sum() == 0
+        assert_irss_exact(projected)
+        assert_irss_exact(projected, fp16=True)
+        assert_pfs_exact(projected)
+
+    def test_fp16_pixel_crosses_eps_in_second_depth_chunk(self, monkeypatch):
+        """Twenty stacked half-opaque Gaussians over one 16x16 tile: at
+        a 2^11 budget a depth chunk holds 8 instances, and the centre
+        pixel's fp16 transmittance first drops to eps in the second."""
+        monkeypatch.setattr(vectorized, "CHUNK_FRAGMENT_BUDGET", 1 << 11)
+        n = 20
+        projected = _handmade(
+            means2d=[[8.0, 8.0]] * n,
+            conics=[[0.02 + 0.001 * k, 0.0, 0.02] for k in range(n)],
+            thresholds=[9.0] * n,
+            opacities=[0.5] * n,
+            size=(16, 16),
+        )
+        ref = render_irss_loop(projected, fp16=True)
+        centre = (7, 7)
+        assert ref.transmittance[centre] <= TRANSMITTANCE_EPS
+        assert 8 < ref.n_contrib[centre] <= 16
+        assert_irss_exact(projected, fp16=True)
+        assert_irss_exact(projected)
+        assert_pfs_exact(projected)
+
+    def test_serving_frame_fp16(self):
+        """One real serving frame: bicycle at detail 0.25 through the
+        fp16 Row-PE datapath."""
+        bundle = build_scene("bicycle", detail=0.25)
+        cloud, _ = bundle.frame_cloud(0)
+        assert_irss_exact(project(cloud, bundle.camera), fp16=True)
 
     def test_depth_chunking_continuation_path(self, monkeypatch):
         """A tiny fragment budget forces depth-chunked processing with
