@@ -25,16 +25,13 @@ import numpy as np
 
 from repro.core.gbu import GBUConfig, GBUDevice, GBUReport
 from repro.core.irss import render_irss
-from repro.core.pipeline import PipelinedFrame
+from repro.core.pipeline import SYNC_SECONDS, PipelinedFrame
 from repro.errors import ValidationError
 from repro.gaussians import build_render_lists, project, render_reference
 from repro.gpu import FrameWorkload, GPUTimingModel, ScaleFactors, StageBreakdown
 from repro.metrics.energy import EnergyBreakdown, EnergyModel
 from repro.scenes import SceneBundle, SceneSpec, build_scene
 from repro.scenes.catalog import CATALOG
-
-# Frame-pipeline handshake overhead (GBU_check_status + buffer swap).
-SYNC_SECONDS = 2e-4
 
 CONFIG_NAMES = ("gpu_pfs", "gpu_irss", "gbu_tile", "gbu_dnb", "gbu_full")
 

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-from repro.analysis.endtoend import SYNC_SECONDS
 from repro.core.gbu import GBUDevice
 from repro.core.irss import render_irss
-from repro.core.pipeline import PipelinedFrame
+from repro.core.pipeline import SYNC_SECONDS, PipelinedFrame
 from repro.errors import ValidationError
 from repro.gaussians import build_render_lists, project, render_reference
 from repro.gpu import FrameWorkload, GPUTimingModel, ScaleFactors

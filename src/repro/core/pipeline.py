@@ -18,6 +18,9 @@ from dataclasses import dataclass
 
 from repro.errors import ValidationError
 
+#: Frame-pipeline handshake overhead (GBU_check_status + buffer swap).
+SYNC_SECONDS = 2e-4
+
 
 @dataclass(frozen=True)
 class PipelinedFrame:

@@ -235,6 +235,9 @@ class WorkloadModelTable:
     def __init__(self, models: list[WorkloadModel] | None = None) -> None:
         self._models: dict[tuple, WorkloadModel] = {}
         self._resolved: dict[tuple, tuple[WorkloadModel, float]] = {}
+        #: Calibrated (scene, trajectory class) pairs: what any lookup
+        #: can fall back within.
+        self._classes: set[tuple[str, str]] = set()
         for model in models or []:
             self.register(model)
 
@@ -247,7 +250,18 @@ class WorkloadModelTable:
 
     def register(self, model: WorkloadModel) -> None:
         self._models[model.key] = model
+        self._classes.add((model.scene, model.trajectory))
         self._resolved.clear()
+
+    def require(self, scene: str, trajectory: str) -> None:
+        """Raise :class:`ValidationError` unless some model covers the
+        (scene, trajectory class) pair — the only lookups that fail."""
+        if (scene, trajectory) not in self._classes:
+            raise ValidationError(
+                f"no workload model calibrated for scene '{scene}', "
+                f"trajectory class '{trajectory}' — run calibration "
+                "(repro-stream calibrate) over this combination first"
+            )
 
     def lookup(
         self, scene: str, detail: float, trajectory: str, mode: tuple
@@ -263,6 +277,7 @@ class WorkloadModelTable:
             return hit
         model = self._models.get(key)
         if model is None:
+            self.require(scene, trajectory)
             same_mode = [
                 m
                 for m in self._models.values()
@@ -275,12 +290,6 @@ class WorkloadModelTable:
                 for m in self._models.values()
                 if m.scene == scene and m.trajectory == trajectory
             ]
-            if not pool:
-                raise ValidationError(
-                    f"no workload model calibrated for scene '{scene}', "
-                    f"trajectory class '{trajectory}' — run calibration "
-                    "(repro-stream calibrate) over this combination first"
-                )
             model = min(pool, key=lambda m: (abs(m.detail - detail), m.detail))
         scale = (
             1.0

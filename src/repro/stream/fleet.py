@@ -54,7 +54,7 @@ from repro.stream.checkpoint import SessionCheckpoint
 from repro.stream.digest import WorkloadModelTable
 from repro.stream.pipeline import StreamReport
 from repro.stream.reporting import ServeSummary, SessionResult, TickResult
-from repro.stream.server import StreamServer, StreamSession
+from repro.stream.server import StreamServer, StreamSession, check_servable
 from repro.stream.traffic import SessionArrival
 
 #: Fleet routing policies.  ``"least"`` and ``"affinity"`` weigh
@@ -562,6 +562,8 @@ class EdgeFleet:
         ids = [a.session_id for a in pending]
         if len(set(ids)) != len(ids):
             raise ValidationError("session ids must be unique across arrivals")
+        for arrival in pending:
+            check_servable(arrival.session, self.models)
         wall0 = time.perf_counter()
         self.close()
         self._next_node_id = 0
@@ -595,6 +597,7 @@ class EdgeFleet:
             raise ValidationError(
                 f"session id '{session_id}' was already submitted"
             )
+        check_servable(session, self.models)
         st.order[session_id] = len(st.order)
         st.total_frames += session.frame_budget
         st.n_arrivals += 1

@@ -26,23 +26,27 @@ and re-sends the frame metadata the client missed, judged by the
 ``last_frame`` index it reports.
 
 **Backpressure.**  Each connection owns a bounded send queue drained
-by one writer task.  Before every backend tick the pump pauses
-dispatch for any session whose queue is full
-(:meth:`StreamServer.pause_session`) and resumes it when the client
-catches up — a slow client freezes *its own* stream instead of growing
-an unbounded buffer, and every other session keeps ticking.  A tick
-produces at most one frame per session, so a queue with a free slot
-can never overflow.
+by one writer task, and everything bound for the client goes through
+one non-blocking :meth:`_Connection.post`: a message that finds the
+queue full waits in a FIFO backlog that the writer feeds into each
+slot it frees.  Before every backend tick the pump pauses dispatch for
+any session whose queue is full (:meth:`StreamServer.pause_session`)
+and resumes it when the client catches up — a slow client freezes
+*its own* stream, and every other session keeps ticking.  A paused
+session renders nothing, so a resume's replay drains ahead of its
+next live frame and the backlog never holds more than that replay
+plus one tick's frame and ``end``.
 
 **Shutdown.**  :meth:`StreamGateway.stop` stops accepting, keeps
 ticking until every *connected* session finishes (drain), flushes and
 closes the send queues, then closes the backend serve and returns the
 merged results (parked sessions included, reported as far as they
-got).  A dead peer can never hang the server: a writer-side connection
-error closes that connection's send path (blocked replay sends raise
-and the session parks), and a connected client that stops reading is
-force-detached after the drain deadline — checkpointed exactly like a
-disconnect — so ``stop`` always returns.
+got).  A dead peer can never hang the server: no gateway code waits
+for queue space, a writer-side connection error aborts the connection
+(its single closed state; the session parks like any disconnect), and
+a connected client that stops reading is force-detached after the
+drain deadline — checkpointed exactly like a disconnect — so ``stop``
+always returns.
 
 The gateway is wire-side telemetry only: simulated physics comes
 exclusively from the backend, and the ``perf_counter`` readings here
@@ -56,6 +60,7 @@ import json
 import socket
 import struct
 import time
+from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import ValidationError
@@ -240,149 +245,97 @@ class _DetachedSession:
 
 
 class _Connection:
-    """One accepted connection: reader loop state + bounded send queue."""
+    """One accepted connection: its send queue and its one closed state.
+
+    Three operations make up the send path.  :meth:`post` enqueues
+    without ever waiting; :meth:`abort` severs the wire now;
+    :meth:`close` flushes within a bound and then closes.  The queue
+    holds at most ``bound`` messages.  What does not fit waits in a
+    FIFO backlog that the writer moves into the queue one freed slot
+    at a time, so the backlog is only ever non-empty behind a full
+    queue and the pump's backpressure test is just ``queue.full()``.
+    """
 
     def __init__(
         self,
-        gateway: "StreamGateway",
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         bound: int,
     ) -> None:
-        self.gateway = gateway
         self.reader = reader
         self.writer = writer
         peer = writer.get_extra_info("peername")
         label = f"{peer[0]}:{peer[1]}" if isinstance(peer, tuple) else "?"
         self.stats = ConnectionStats(peer=label)
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=bound)
+        self.backlog: deque = deque()
         self.session_id: str | None = None
-        self.keep_images = False
-        #: Ship raw image bytes in frame messages (hello opt-in; needs
-        #: ``keep_images`` on the session so the backend retains them).
+        #: Ship raw image bytes in frame messages (hello opt-in; only
+        #: sessions with ``keep_images`` have any to ship).
         self.deliver_images = False
         self.writer_task: asyncio.Task | None = None
-        self._close_started = False
-        #: Set once the writer hit a connection error: nothing will
-        #: ever be written again, so sends must not wait for queue
-        #: space a dead writer will never free.
-        self.dead = False
+        #: Set by :meth:`close` or :meth:`abort`; nothing is posted after.
+        self.closed = False
 
-    def _note_depth(self) -> None:
-        self.stats.queue_peak = max(self.stats.queue_peak, self.queue.qsize())
+    def post(self, message: dict | None) -> None:
+        """Enqueue ``message`` behind everything already posted.
 
-    def mark_dead(self) -> None:
-        """Close the send path after a writer-side connection error.
-
-        Drains the queue so coroutines blocked in :meth:`send` wake up
-        (and then raise), letting the connection handler fall through
-        to teardown — a vanished peer must never wedge a replay loop,
-        and through it, drain shutdown.
+        Never blocks and never raises.  A no-op once the connection is
+        closed: its session is parked (or finished) and a resume
+        replays whatever frames were lost.  ``None`` is the writer's
+        close sentinel.
         """
-        if self.dead:
+        if self.closed:
             return
-        self.dead = True
-        while True:
-            try:
-                self.queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-        self.gateway._wake.set()
+        if self.queue.full():
+            self.backlog.append(message)
+        else:
+            self.queue.put_nowait(message)
+            self.stats.queue_peak = max(
+                self.stats.queue_peak, self.queue.qsize()
+            )
 
-    def kill(self) -> None:
-        """Force-detach primitive: sever the wire *now*.
-
-        Marks the connection dead (unblocking any pending send) and
-        aborts the transport, so the handler's read returns and
-        teardown parks the session exactly like a client disconnect.
-        """
-        self.mark_dead()
+    def abort(self) -> None:
+        """Sever the wire now: drop everything unsent, wake the writer
+        with the close sentinel and abort the transport, so the
+        handler's read returns and teardown parks the session exactly
+        like a client disconnect."""
+        self.closed = True
+        self.backlog.clear()
+        while not self.queue.empty():
+            self.queue.get_nowait()
+        self.queue.put_nowait(None)
         transport = self.writer.transport
         if transport is not None:
             transport.abort()
 
-    def try_send(self, message: dict) -> None:
-        """Enqueue without waiting — the pump's backpressure invariant
-        guarantees a free slot (full queues pause dispatch first).
-        Dropped silently on a dead connection: the session is about to
-        be parked and the frame replays on reconnect."""
-        if self.dead:
-            return
-        self.queue.put_nowait(message)
-        self._note_depth()
-
-    async def send(self, message: dict) -> None:
-        """Enqueue, waiting for queue space (connection-local only).
-
-        Raises :class:`ConnectionError` once the connection is dead:
-        queue slots only free when the writer drains them, so waiting
-        on a dead writer would block forever.
-        """
-        if self.dead:
-            raise ConnectionError("peer is gone; send queue is closed")
-        await self.queue.put(message)
-        if self.dead:
-            # The writer died while we waited for a slot; the message
-            # will never reach the wire.
-            raise ConnectionError("peer is gone; send queue is closed")
-        self._note_depth()
-
-    def send_soon(self, message: dict) -> None:
-        """Enqueue now if possible, else hand the wait to a task.
-
-        Used for the terminal ``end`` message, which may arrive while
-        the queue is momentarily full; the session is finished, so at
-        most one such deferred put can exist per connection and
-        ordering is preserved.
-        """
-        try:
-            self.try_send(message)
-        except asyncio.QueueFull:
-            asyncio.get_running_loop().create_task(self._send_quietly(message))
-
-    async def _send_quietly(self, message: dict) -> None:
-        try:
-            await self.send(message)
-        except ConnectionError:
-            pass  # Peer vanished first; the report survives in the backend.
-
     async def close(self, flush_timeout: float = 5.0) -> None:
-        """Flush the send queue (best effort) and close the socket.
+        """Flush what was posted (best effort) and close the socket.
 
-        Every flush wait is bounded: a peer that stopped reading must
-        not pin shutdown, so after ``flush_timeout`` the connection is
-        aborted with whatever made it onto the wire.
+        The close sentinel queues behind the backlog.  Every wait is
+        bounded: a peer that stopped reading must not pin shutdown, so
+        after ``flush_timeout`` the connection is aborted with whatever
+        made it onto the wire.  Idempotent, and quick after
+        :meth:`abort`.
         """
-        if self._close_started:
-            return
-        self._close_started = True
-        if self.writer_task is not None:
-            if not self.writer_task.done():
-                try:
-                    # The sentinel queues behind every pending message,
-                    # so the writer flushes before exiting.
-                    self.queue.put_nowait(None)
-                except asyncio.QueueFull:
-                    # Stalled client with a full queue: force-close.
-                    self.writer_task.cancel()
-            try:
-                # On timeout wait_for cancels the writer task itself.
-                await asyncio.wait_for(self.writer_task, flush_timeout)
-            except (
-                asyncio.TimeoutError,
-                asyncio.CancelledError,
-                ConnectionError,
-                OSError,
-            ):
-                pass
+        self.post(None)
+        self.closed = True
+        try:
+            # On timeout wait_for cancels the writer task itself.
+            await asyncio.wait_for(self.writer_task, flush_timeout)
+        except (
+            asyncio.TimeoutError,
+            asyncio.CancelledError,
+            ConnectionError,
+            OSError,
+        ):
+            pass
         self.writer.close()
         try:
             await asyncio.wait_for(self.writer.wait_closed(), flush_timeout)
         except (asyncio.TimeoutError, ConnectionError, OSError):
             # Unflushed bytes and a vanished reader: drop the link.
-            transport = self.writer.transport
-            if transport is not None:
-                transport.abort()
+            self.abort()
 
 
 class StreamGateway:
@@ -438,9 +391,6 @@ class StreamGateway:
         self._by_session: dict[str, _Connection] = {}
         self._detached: dict[str, _DetachedSession] = {}
         self._paused: set[str] = set()
-        #: Sessions frozen by their own handler (welcome/replay still
-        #: being enqueued) — never auto-resumed by backpressure.
-        self._held: set[str] = set()
         self._done: set[str] = set()
         self._connections: list[_Connection] = []
         self._closing = False
@@ -502,7 +452,7 @@ class StreamGateway:
                     # Stalled connected clients: park their sessions
                     # the way a disconnect would and finish the drain.
                     for conn in list(self._by_session.values()):
-                        conn.kill()
+                        conn.abort()
                     self._wake.set()
                     await self._pump_task
             else:
@@ -563,16 +513,22 @@ class StreamGateway:
         a waker rather than re-stepping in a busy loop.
         """
         live = self.backend.n_active + self.backend.n_queued
-        return live > len(self._paused) + len(self._held)
+        return live > len(self._paused)
 
     def _apply_backpressure(self) -> None:
-        """Pause full-queue sessions, resume drained ones (lock held)."""
+        """Pause sessions whose queue is full (so a backlog may be
+        waiting behind it), resume drained ones (lock held).
+
+        A paused session renders nothing, so a replay posted on resume
+        drains ahead of the session's next live frame and the backlog
+        never grows by more than one tick's frame and ``end``.
+        """
         for session_id, conn in self._by_session.items():
-            if session_id in self._held or session_id in self._done:
-                continue
-            if conn.dead:
-                continue  # Teardown is imminent; leave the pause as-is.
-            if not self.backend.has_session(session_id):
+            if (
+                conn.closed  # Teardown is imminent; leave the pause as-is.
+                or session_id in self._done
+                or not self.backend.has_session(session_id)
+            ):
                 continue
             if conn.queue.full():
                 if session_id not in self._paused:
@@ -649,14 +605,17 @@ class StreamGateway:
                 # Disconnected while the tick was in flight: the frame
                 # is in the session's report and replays on reconnect.
                 continue
-            conn.try_send(self._frame_message(conn, record, False))
+            conn.post(self._frame_message(conn, record, False))
         for session_id in tick.done:
-            self._done.add(session_id)
-            conn = self._by_session.get(session_id)
-            if conn is None:
-                continue
+            self._finish(session_id)
+
+    def _finish(self, session_id: str) -> None:
+        """Mark a session done and post its connection the ``end``."""
+        self._done.add(session_id)
+        conn = self._by_session.get(session_id)
+        if conn is not None:
             conn.stats.clean_close = True
-            conn.send_soon(
+            conn.post(
                 {
                     "type": "end",
                     "session_id": session_id,
@@ -676,13 +635,13 @@ class StreamGateway:
                 sock.setsockopt(
                     socket.SOL_SOCKET, socket.SO_SNDBUF, self.sndbuf
                 )
-        conn = _Connection(self, reader, writer, self.send_queue_frames)
+        conn = _Connection(reader, writer, self.send_queue_frames)
         self._connections.append(conn)
         conn.writer_task = asyncio.create_task(self._writer_loop(conn))
         try:
             await self._serve_connection(conn)
         except ValidationError as exc:
-            conn.send_soon({"type": "error", "message": str(exc)})
+            conn.post({"type": "error", "message": str(exc)})
         except (ConnectionError, OSError):
             pass
         finally:
@@ -693,6 +652,9 @@ class StreamGateway:
         try:
             while True:
                 message = await conn.queue.get()
+                if conn.backlog:
+                    # One slot freed: the oldest backlog message takes it.
+                    conn.queue.put_nowait(conn.backlog.popleft())
                 if message is None:
                     return
                 data = encode_message(message)
@@ -706,13 +668,9 @@ class StreamGateway:
                 # session and is waiting for exactly this signal.
                 self._wake.set()
         except (ConnectionError, OSError):
-            # Peer vanished mid-write: close the send path so blocked
-            # senders (resume replay, deferred end messages) raise
-            # instead of waiting on queue space that will never free;
-            # the reader loop then tears the connection down
-            # (checkpointing the session).
-            conn.mark_dead()
-            return
+            # Peer vanished mid-write: sever the wire so the reader
+            # loop returns and teardown checkpoints the session.
+            conn.abort()
 
     async def _serve_connection(self, conn: _Connection) -> None:
         message = await read_message(conn.reader)
@@ -728,10 +686,7 @@ class StreamGateway:
                 f"protocol {protocol!r} is not supported "
                 f"(this gateway speaks {PROTOCOL_VERSION})"
             )
-        if message.get("resume"):
-            await self._resume_session(conn, message)
-        else:
-            await self._open_session(conn, message)
+        await self._attach(conn, message)
         while True:
             message = await read_message(conn.reader)
             if message is None:
@@ -743,165 +698,100 @@ class StreamGateway:
                 f"unexpected message type {message['type']!r} mid-stream"
             )
 
-    async def _open_session(self, conn: _Connection, message: dict) -> None:
-        session = session_from_payload(
-            message.get("session"), default_pipeline=self.pipeline
-        )
-        session_id = session.session_id
-        async with self._lock:
-            if self._closing:
-                raise ValidationError("gateway is draining; try another node")
-            if (
-                session_id in self._by_session
-                or session_id in self._detached
-                or self.backend.has_session(session_id)
-            ):
-                raise ValidationError(
-                    f"session id '{session_id}' is already in use"
-                )
-            self.backend.submit(session)
-            conn.session_id = session_id
-            conn.stats.session_id = session_id
-            conn.keep_images = session.keep_images
-            conn.deliver_images = bool(
-                message.get("deliver_images", False)
-            ) and session.keep_images
-            # put_nowait on the fresh (empty) queue: the welcome is
-            # enqueued before the session is visible to the pump, so
-            # it always precedes frame 0 on the wire.
-            conn.try_send(
-                {
-                    "type": "welcome",
-                    "session_id": session_id,
-                    "resumed": False,
-                    "next_frame": 0,
-                    "protocol": PROTOCOL_VERSION,
-                }
-            )
-            self._by_session[session_id] = conn
-        self._wake.set()
+    async def _attach(self, conn: _Connection, message: dict) -> None:
+        """Open or resume the hello's session on ``conn``.
 
-    async def _resume_session(self, conn: _Connection, message: dict) -> None:
-        session_id = message.get("session_id")
-        if not isinstance(session_id, str) or not session_id:
-            raise ValidationError("resume hello needs a 'session_id'")
-        last_frame = _number(message.get("last_frame", -1), int, "last_frame")
+        One path for all three cases: a new session, a parked one
+        (injected back from its checkpoint) and one that finished
+        while its client was away.  Under the lock it posts the
+        ``welcome``, replays every recorded frame past ``last_frame``
+        and, for a finished session, the ``end`` — all before the pump
+        can deliver a live frame, which therefore always follows them.
+        """
+        resume = bool(message.get("resume"))
+        last_frame = -1
+        if resume:
+            session_id = message.get("session_id")
+            if not isinstance(session_id, str) or not session_id:
+                raise ValidationError("resume hello needs a 'session_id'")
+            last_frame = _number(
+                message.get("last_frame", last_frame), int, "last_frame"
+            )
+        else:
+            session = session_from_payload(
+                message.get("session"), default_pipeline=self.pipeline
+            )
+            session_id = session.session_id
         restore_t0 = time.perf_counter()
         async with self._lock:
-            if session_id in self._by_session:
-                raise ValidationError(
-                    f"session '{session_id}' is already connected"
-                )
-            parked = self._detached.pop(session_id, None)
-            if parked is None:
-                if self.backend.has_session(session_id) and (
-                    self.backend.is_done(session_id)
-                ):
-                    # The session finished between the disconnect and
-                    # this resume (its last frames were rendered while
-                    # the tick was in flight): nothing to inject —
-                    # replay the missed tail and close with the report.
-                    tail = self._prepare_finished_resume(
-                        conn, session_id, last_frame, restore_t0
-                    )
-                else:
-                    raise ValidationError(
-                        f"no detached session '{session_id}' to resume"
-                    )
-        if parked is None:
-            # Bounded puts outside the lock: a slow client stalls only
-            # its own replay, never the gateway.
-            for message in tail:
-                await conn.send(message)
-            return
-        async with self._lock:
-            conn.deliver_images = bool(
-                message.get("deliver_images", False)
-            ) and parked.session.keep_images
-            self.backend.inject_session(
-                parked.session, parked.checkpoint, parked.report
-            )
-            # Hold the session until the missed frames are replayed —
-            # a live frame must never overtake a replayed one.
-            self.backend.pause_session(session_id)
-            self._held.add(session_id)
-            conn.session_id = session_id
-            conn.stats.session_id = session_id
-            conn.stats.resumed = True
-            conn.keep_images = parked.session.keep_images
-            next_frame = (
-                parked.checkpoint.next_frame
-                if parked.checkpoint is not None
-                else len(parked.report.frames)
-            )
+            if resume:
+                frames = self._reattach(session_id)
+            else:
+                self._admit(session)
+                frames = []
+            conn.session_id = conn.stats.session_id = session_id
+            conn.stats.resumed = resume
+            conn.deliver_images = bool(message.get("deliver_images", False))
             replay = [
                 self._frame_message(conn, record, True)
-                for record in parked.report.frames
+                for record in frames
                 if record.frame > last_frame
             ]
-            conn.try_send(
+            conn.post(
                 {
                     "type": "welcome",
                     "session_id": session_id,
-                    "resumed": True,
-                    "next_frame": next_frame,
+                    "resumed": resume,
+                    "next_frame": len(frames),
                     "replayed": len(replay),
                     "protocol": PROTOCOL_VERSION,
                 }
             )
+            for frame in replay:
+                conn.post(frame)
             self._by_session[session_id] = conn
-        conn.stats.restore_seconds = time.perf_counter() - restore_t0
-        for frame in replay:
-            # Bounded puts: replaying a long history obeys the same
-            # per-connection backpressure as live frames.
-            await conn.send(frame)
-        async with self._lock:
-            self._held.discard(session_id)
-            # Hand the (still backend-paused) session to the
-            # backpressure logic, which resumes it as space allows.
-            self._paused.add(session_id)
+            if self.backend.is_done(session_id):
+                self._finish(session_id)
+        if resume:
+            conn.stats.restore_seconds = time.perf_counter() - restore_t0
         self._wake.set()
 
-    def _prepare_finished_resume(
-        self,
-        conn: _Connection,
-        session_id: str,
-        last_frame: int,
-        restore_t0: float,
-    ) -> list[dict]:
-        """Resume of a session that already rendered its whole budget:
-        enqueue the welcome, return the replay tail + end message for
-        the caller to send outside the lock (which it holds here)."""
-        conn.session_id = session_id
-        conn.stats.session_id = session_id
-        conn.stats.resumed = True
-        conn.stats.clean_close = True
-        self._done.add(session_id)
-        report = self.backend.report_of(session_id)
-        replay = [
-            self._frame_message(conn, record, True)
-            for record in report.frames
-            if record.frame > last_frame
-        ]
-        conn.try_send(
-            {
-                "type": "welcome",
-                "session_id": session_id,
-                "resumed": True,
-                "next_frame": len(report.frames),
-                "replayed": len(replay),
-                "protocol": PROTOCOL_VERSION,
-            }
-        )
-        conn.stats.restore_seconds = time.perf_counter() - restore_t0
-        replay.append(
-            {
-                "type": "end",
-                "session_id": session_id,
-                "report": report_evidence(report),
-            }
-        )
-        return replay
+    def _admit(self, session: StreamSession) -> None:
+        """Submit a new session to the backend (lock held)."""
+        if self._closing:
+            raise ValidationError("gateway is draining; try another node")
+        session_id = session.session_id
+        if (
+            session_id in self._by_session
+            or session_id in self._detached
+            or self.backend.has_session(session_id)
+        ):
+            raise ValidationError(
+                f"session id '{session_id}' is already in use"
+            )
+        self.backend.submit(session)
+
+    def _reattach(self, session_id: str) -> list[FrameRecord]:
+        """Put a detached session back on the backend; return the
+        frames it has streamed so far (lock held)."""
+        if session_id in self._by_session:
+            raise ValidationError(
+                f"session '{session_id}' is already connected"
+            )
+        parked = self._detached.pop(session_id, None)
+        if parked is not None:
+            self.backend.inject_session(
+                parked.session, parked.checkpoint, parked.report
+            )
+            return parked.report.frames
+        if self.backend.has_session(session_id) and (
+            self.backend.is_done(session_id)
+        ):
+            # The session finished between the disconnect and this
+            # resume (its last frames rendered while the tick was in
+            # flight): nothing to inject, only the tail to replay.
+            return self.backend.report_of(session_id).frames
+        raise ValidationError(f"no detached session '{session_id}' to resume")
 
     async def _teardown(self, conn: _Connection) -> None:
         async with self._lock:
@@ -911,7 +801,6 @@ class StreamGateway:
                 and self._by_session.get(session_id) is conn
             ):
                 del self._by_session[session_id]
-                self._held.discard(session_id)
                 backend_paused = session_id in self._paused
                 self._paused.discard(session_id)
                 if self.backend.has_session(session_id) and not (

@@ -32,9 +32,8 @@ from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.analysis.endtoend import SYNC_SECONDS
 from repro.core.gbu import GBUConfig, GBUDevice, GBUReport
-from repro.core.pipeline import PipelinedFrame
+from repro.core.pipeline import SYNC_SECONDS, PipelinedFrame
 from repro.core.reuse_cache import FrameCacheSample
 from repro.errors import DeviceBusyError, ValidationError
 from repro.gaussians import project

@@ -109,6 +109,7 @@ __all__ = [
     "StreamServer",
     "StreamSession",
     "TickResult",
+    "check_servable",
     "check_session_field",
 ]
 
@@ -219,6 +220,31 @@ def check_session_field(field: str, value, label: str):
     return value
 
 
+def check_servable(
+    session: StreamSession, models: WorkloadModelTable | None
+) -> None:
+    """Refuse a session that no worker given ``models`` could render.
+
+    Both backends call this at admission (``submit``/``begin``), so a
+    digest session without a calibrated model, or one asking for
+    images, fails before it exists instead of raising inside ``step``
+    for the whole tick.  O(1): one set lookup in the model table.
+    """
+    if session.pipeline != "digest":
+        return
+    if models is None:
+        raise ValidationError(
+            f"session '{session.session_id}' requests the digest pipeline "
+            "but the server has no workload models (models=...)"
+        )
+    if session.keep_images:
+        raise ValidationError(
+            "the digest pipeline renders no images; "
+            "keep_images requires pipeline='exact'"
+        )
+    models.require(session.scene, session.trajectory.kind)
+
+
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
@@ -322,11 +348,7 @@ class _WorkerState:
             view = SessionContentView(self.content_config, session_tier)
             self.views[session.session_id] = view
         if session.pipeline == "digest":
-            if self.models is None:
-                raise ValidationError(
-                    f"session '{session_id}' requests the digest pipeline "
-                    "but the server has no workload models (models=...)"
-                )
+            check_servable(session, self.models)
             stream = DigestFrameStream(
                 session.scene,
                 session.trajectory,
@@ -698,6 +720,8 @@ class StreamServer:
         ids = [s.session_id for s in sessions]
         if len(set(ids)) != len(ids):
             raise ValidationError("session ids must be unique")
+        for session in sessions:
+            check_servable(session, self.models)
         self._ensure_pool()
         self._reset_workers()
         if self._node_tier is not None:
@@ -735,6 +759,7 @@ class StreamServer:
             raise ValidationError(
                 f"session id '{session.session_id}' is already being served"
             )
+        check_servable(session, self.models)
         self._reports[session.session_id] = StreamReport(
             scene=session.scene, trajectory=session.trajectory.kind
         )

@@ -37,7 +37,7 @@ from repro.stream.content_cache import (
 )
 from repro.stream.digest import WorkloadModel
 from repro.stream.qos import FrameDeadline, QoSPolicy, QualityController
-from repro.stream.traffic import MIXES, TrafficGenerator
+from repro.stream.traffic import MIXES, SessionArrival, TrafficGenerator
 
 pytestmark = pytest.mark.digest
 
@@ -480,6 +480,43 @@ def test_server_requires_models_for_digest():
     with StreamServer(workers=0) as server:
         with pytest.raises(ValidationError, match="workload models"):
             server.serve(_digest_sessions(n=1))
+
+
+#: Digest sessions no backend given that table could render, and the
+#: error each one is refused with.
+UNSERVABLE = {
+    "no models": ({}, None, "no workload models"),
+    "uncalibrated scene": (
+        {"scene": "bonsai"}, _table, "no workload model calibrated"
+    ),
+    "keep_images": ({"keep_images": True}, _table, "renders no images"),
+}
+
+
+@pytest.mark.parametrize("entry", ["begin", "submit"])
+@pytest.mark.parametrize("backend", [StreamServer, EdgeFleet])
+@pytest.mark.parametrize("case", sorted(UNSERVABLE))
+def test_unservable_digest_session_is_refused_at_admission(
+    case, backend, entry
+):
+    """Refused before the session exists, not inside ``step`` where
+    the error would end the tick for every other session."""
+    changes, table, match = UNSERVABLE[case]
+    session = dataclasses.replace(_digest_sessions(n=1)[0], **changes)
+    models = table() if table else None
+    if backend is StreamServer:
+        target, first = StreamServer(workers=0, models=models), [session]
+    else:
+        target = EdgeFleet(nodes=1, models=models)
+        first = [SessionArrival(0.0, session)]
+    with target:
+        with pytest.raises(ValidationError, match=match):
+            if entry == "begin":
+                target.begin(first)
+            else:
+                target.begin([])
+                target.submit(session)
+        assert not target.has_session(session.session_id)
 
 
 def test_digest_serve_renders_no_exact_frame(exact_renders):

@@ -12,6 +12,7 @@ checkpoint replay is exact.
 
 import asyncio
 import json
+import socket
 import struct
 
 import pytest
@@ -23,6 +24,7 @@ from repro.stream.gateway import (
     PROTOCOL_VERSION,
     GatewayClient,
     StreamGateway,
+    _Connection,
     encode_message,
     read_message,
     session_from_payload,
@@ -554,8 +556,8 @@ class TestDeadPeer:
     to deadlock the handler: the writer died on the reset socket but
     the replay loop kept waiting for queue space nobody would ever
     free, pinning the session as connected and wedging drain shutdown.
-    Now the dead writer closes the send path, blocked sends raise, and
-    the session parks like any other disconnect."""
+    Now no send waits for queue space, the dead writer aborts the
+    connection, and the session parks like any other disconnect."""
 
     BOUND = 2
     KERNEL_BUF = 4096
@@ -890,3 +892,134 @@ class TestHttpShim:
                 await gateway.start_http()
 
         run(_with_gateway(scenario))
+
+
+# ----------------------------------------------------------------------
+# Admission: what the backend cannot serve is refused at hello
+# ----------------------------------------------------------------------
+class TestAdmission:
+    def test_digest_hello_without_models_is_refused(self):
+        """Admitted, a digest session on a model-less backend would
+        raise inside ``step`` and end the pump for every client.  It
+        gets an ``error`` reply at hello instead, and a concurrent
+        exact client streams on, byte-identical to an uninterrupted
+        serve."""
+        desc = _desc("steady")
+
+        async def scenario(gateway):
+            good = GatewayClient(gateway.host, gateway.port)
+            await good.connect()
+            await good.hello(desc)
+            bad = GatewayClient(gateway.host, gateway.port)
+            await bad.connect()
+            with pytest.raises(ValidationError, match="no workload models"):
+                await bad.hello(
+                    _desc("digest", pipeline="digest", keep_images=False)
+                )
+            await bad.close()
+            frames, end = await good.stream()
+            await good.bye()
+            await good.close()
+            return frames, end["report"]
+
+        async def guarded(gateway):
+            return await asyncio.wait_for(scenario(gateway), timeout=60)
+
+        (frames, report), results, _ = run(_with_gateway(guarded))
+        assert [f["frame"] for f in frames] == list(range(N_FRAMES))
+        assert report == _baseline([desc])["steady"]
+        assert [r.session_id for r in results] == ["steady"]
+
+
+# ----------------------------------------------------------------------
+# The connection's send primitive on its own
+# ----------------------------------------------------------------------
+class TestConnection:
+    """``post``/``abort``/``close`` over a loopback pair whose peer
+    does not read, with kernel buffers pinned small so the writer
+    stalls after a message or two."""
+
+    BOUND = 2
+    KERNEL_BUF = 4096
+    FLUSH = 2.0
+
+    @staticmethod
+    def _messages(n_frames):
+        pad = "x" * 65536  # past the transport's write-buffer high-water mark
+        return (
+            [{"type": "welcome", "session_id": "s"}]
+            + [
+                {"type": "frame", "frame": i, "replayed": True, "pad": pad}
+                for i in range(n_frames)
+            ]
+            + [{"type": "end", "session_id": "s"}]
+        )
+
+    async def _pair(self):
+        """A gateway-side connection (writer running) and its client."""
+        gateway = StreamGateway(StreamServer(workers=0))
+        accepted = asyncio.get_running_loop().create_future()
+
+        async def on_accept(reader, writer):
+            writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, self.KERNEL_BUF
+            )
+            conn = _Connection(reader, writer, self.BOUND)
+            conn.writer_task = asyncio.create_task(gateway._writer_loop(conn))
+            accepted.set_result(conn)
+
+        server = await asyncio.start_server(on_accept, "127.0.0.1", 0)
+        client = GatewayClient("127.0.0.1", server.sockets[0].getsockname()[1])
+        await client.connect(rcvbuf=self.KERNEL_BUF)
+        return server, client, await accepted
+
+    def test_posts_past_the_bound_wait_in_a_fifo_backlog(self):
+        sent = self._messages(n_frames=8)
+
+        async def main():
+            server, client, conn = await self._pair()
+            for message in sent:
+                conn.post(message)
+            # The peer reads nothing: the writer stalls on the socket
+            # and what does not fit the queue stays in the backlog.
+            await asyncio.sleep(0.1)
+            assert conn.queue.full() and conn.backlog
+            assert conn.stats.queue_peak <= self.BOUND
+            # The close sentinel queues behind the backlog, so a close
+            # now still delivers everything posted, then EOF.
+            closer = asyncio.create_task(conn.close(flush_timeout=30))
+            received = [await client.recv(timeout=30) for _ in sent]
+            assert await client.recv(timeout=30) is None
+            await closer
+            await client.close()
+            server.close()
+            await server.wait_closed()
+            return received, conn
+
+        received, conn = run(main())
+        assert received == sent
+        assert conn.stats.queue_peak <= self.BOUND
+        assert conn.stats.messages_sent == len(sent)
+        assert conn.stats.frames_sent == len(sent) - 2
+
+    def test_abort_drops_everything_and_close_stays_bounded(self):
+        async def main():
+            server, client, conn = await self._pair()
+            for message in self._messages(n_frames=8):
+                conn.post(message)
+            await asyncio.sleep(0.1)
+            conn.abort()
+            assert conn.closed and not conn.backlog
+            depth = conn.queue.qsize()
+            conn.post({"type": "frame", "frame": 99})
+            assert conn.queue.qsize() == depth and not conn.backlog
+            # Within one flush timeout, though the peer never read.
+            await asyncio.wait_for(
+                conn.close(flush_timeout=self.FLUSH), self.FLUSH
+            )
+            assert conn.writer_task.done()
+            client.abort()
+            server.close()
+            await server.wait_closed()
+
+        run(main())
