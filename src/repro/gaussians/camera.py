@@ -179,16 +179,27 @@ def orbit_cameras(
     """Generate ``n`` cameras on a circular orbit around ``target``."""
     if n <= 0:
         raise ValidationError("orbit needs at least one camera")
+    return [
+        orbit_camera(k, n, radius, height, target, width, height_px, fov_y_deg, phase)
+        for k in range(n)
+    ]
+
+
+def orbit_camera(
+    k: int,
+    n: int,
+    radius: float,
+    height: float = 0.5,
+    target: np.ndarray = (0.0, 0.0, 0.0),
+    width: int = 256,
+    height_px: int = 256,
+    fov_y_deg: float = 50.0,
+    phase: float = 0.0,
+) -> Camera:
+    """Camera ``k`` of :func:`orbit_cameras` ``(n, ...)``, built alone."""
     target = np.asarray(target, dtype=np.float64)
-    cameras = []
-    for k in range(n):
-        angle = phase + 2.0 * np.pi * k / n
-        eye = target + np.array(
-            [radius * np.cos(angle), height, radius * np.sin(angle)]
-        )
-        cameras.append(
-            Camera.look_at(
-                eye, target, width=width, height=height_px, fov_y_deg=fov_y_deg
-            )
-        )
-    return cameras
+    angle = phase + 2.0 * np.pi * k / n
+    eye = target + np.array([radius * np.cos(angle), height, radius * np.sin(angle)])
+    return Camera.look_at(
+        eye, target, width=width, height=height_px, fov_y_deg=fov_y_deg
+    )

@@ -283,8 +283,8 @@ def build_fleet_parser() -> argparse.ArgumentParser:
         "--compact",
         action="store_true",
         help="generate compact sessions (one-pose trajectories, frame "
-        "budgets on the session) — required at 10^5+ sessions; needs "
-        "--pipeline digest and no --content-cache",
+        "budgets on the session); needs --pipeline digest and no "
+        "--content-cache",
     )
     return parser
 

@@ -48,6 +48,7 @@ either way, so ladder decisions remain deterministic.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
@@ -411,6 +412,15 @@ def _calibrate_one(
     )
 
 
+@functools.cache
+def _resident_ids(n: int) -> tuple[int, ...]:
+    """The canonical resident set ``0..n-1``, one tuple per occupancy
+    shared by every digest checkpoint.  Occupancy never exceeds a
+    model's ``capacity_lines``, so at most the largest capacity + 1
+    tuples are ever held."""
+    return tuple(range(n))
+
+
 class _DigestCacheState:
     """Temporal-cache counters advanced from a model, not a trace.
 
@@ -433,7 +443,6 @@ class _DigestCacheState:
         self._frames_observed = 0
         self._cum_accesses = 0
         self._cum_hits = 0
-        self._resident_tuple: tuple[int, ...] = ()
 
     @property
     def frames_observed(self) -> int:
@@ -478,15 +487,12 @@ class _DigestCacheState:
 
     def export_state(self) -> TemporalCacheState:
         # Exports run once per rendered frame (checkpointing), and the
-        # resident set is always a prefix of the line-id range; rebuild
-        # the tuple only when the occupancy actually moved.
-        if len(self._resident_tuple) != self._resident_lines:
-            self._resident_tuple = tuple(range(self._resident_lines))
+        # resident set is always a prefix of the line-id range.
         return TemporalCacheState(
             policy=self.policy,
             capacity_lines=self.capacity_lines,
             bytes_per_line=self.bytes_per_line,
-            resident_ids=self._resident_tuple,
+            resident_ids=_resident_ids(self._resident_lines),
             frames_observed=self._frames_observed,
             cumulative_accesses=self._cum_accesses,
             cumulative_hits=self._cum_hits,

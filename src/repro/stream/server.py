@@ -383,7 +383,7 @@ class _WorkerState:
         The sessions of one tick batch share a scene, so they render
         back-to-back from the same bundle on this worker's device.
         After a session's first tick the scheduler sends only its id
-        (the full descriptor — trajectory cameras included — crosses
+        (the full descriptor — trajectory parameters included — crosses
         the process boundary once).  Budget-exhausted sessions render
         nothing and are reported in ``done`` so the scheduler stops
         dispatching them.

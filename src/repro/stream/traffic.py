@@ -247,14 +247,13 @@ class TrafficGenerator:
         fleet reaches 10^5+ concurrent sessions.
     compact:
         Build one-pose camera trajectories and carry the drawn frame
-        count on ``StreamSession.n_frames`` instead of materializing
-        every camera of every session.  Draw-for-draw identical RNG
-        consumption, so arrival times, session ids, frame budgets,
+        count on ``StreamSession.n_frames``.  Draw-for-draw identical
+        RNG consumption, so arrival times, session ids, frame budgets,
         details and target-FPS picks are bitwise identical to the full
-        build — required at 10^5+ sessions, where camera-path
-        construction dominates generation.  Compact sessions cannot
+        build.  Trajectories build their poses on demand, so this no
+        longer saves generation time; compact sessions still cannot
         feed the exact pipeline's content-addressed cache (no per-frame
-        poses); digest-pipeline fleets at scale are their home.
+        poses).
     """
 
     def __init__(
@@ -341,7 +340,7 @@ class TrafficGenerator:
         detail = arch.detail * self.detail
         spec = CATALOG[arch.scene]
         # The compact branch consumes the RNG identically (same draws,
-        # same order) — only the trajectory materialization shrinks.
+        # same order) — only the trajectory's length shrinks.
         trajectory = CameraTrajectory.for_scene(
             spec,
             kind=arch.trajectory,

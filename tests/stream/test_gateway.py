@@ -15,9 +15,11 @@ import json
 import socket
 import struct
 
+import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro.gaussians.camera import Camera
 from repro.stream.fleet import EdgeFleet
 from repro.stream.gateway import (
     MAX_MESSAGE_BYTES,
@@ -31,6 +33,7 @@ from repro.stream.gateway import (
 )
 from repro.stream.reporting import report_evidence
 from repro.stream.server import StreamServer
+from repro.stream.trajectory import TRAJECTORY_KINDS
 
 DETAIL = 0.25
 N_FRAMES = 5
@@ -929,6 +932,96 @@ class TestAdmission:
         assert [f["frame"] for f in frames] == list(range(N_FRAMES))
         assert report == _baseline([desc])["steady"]
         assert [r.session_id for r in results] == ["steady"]
+
+    #: Far more poses than these tests render, far fewer than a
+    #: 10^9-frame path: an eager pose build trips the spy in ~20 ms.
+    LOOK_AT_LIMIT = 500
+
+    @pytest.fixture()
+    def look_at_calls(self, monkeypatch):
+        calls = []
+        look_at = Camera.look_at
+        geomspace = np.geomspace
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > self.LOOK_AT_LIMIT:
+                raise AssertionError(
+                    f"more than {self.LOOK_AT_LIMIT} Camera.look_at calls"
+                )
+            return look_at(*args, **kwargs)
+
+        def bounded_geomspace(start, stop, num=50, **kwargs):
+            # An eager dolly path would allocate 8 GB here first.
+            if num > self.LOOK_AT_LIMIT:
+                raise AssertionError(f"np.geomspace of {num} factors")
+            return geomspace(start, stop, num, **kwargs)
+
+        monkeypatch.setattr(Camera, "look_at", staticmethod(spy))
+        monkeypatch.setattr(np, "geomspace", bounded_geomspace)
+        return calls
+
+    def test_huge_frame_budget_builds_at_most_one_pose(self, look_at_calls):
+        session = session_from_payload(_desc("huge", frames=10**9))
+        assert session.frame_budget == 10**9
+        assert len(look_at_calls) <= 1
+
+    @pytest.mark.parametrize("kind", TRAJECTORY_KINDS)
+    def test_admission_cost_is_flat_in_frames_for_every_kind(
+        self, look_at_calls, kind
+    ):
+        # 10**7, not 10**9: an eager ``frozen`` path builds no pose the
+        # spies could stop, only a tuple of ``frames`` references.
+        session = session_from_payload(
+            _desc("long", frames=10**7, trajectory={"kind": kind})
+        )
+        assert session.frame_budget == 10**7
+        assert len(look_at_calls) <= 1
+
+    def test_huge_frame_budget_streams_and_spares_other_clients(
+        self, look_at_calls
+    ):
+        """A ``frames: 10**9`` hello neither stalls the loop nor
+        exhausts memory: the session streams its first frames and
+        parks on ``bye``, and a concurrent client stays byte-identical
+        to an uninterrupted serve."""
+        huge = _desc("huge", frames=10**9)
+        steady = _desc("steady", scene="bonsai")
+
+        async def stream_huge(gateway):
+            client = GatewayClient(gateway.host, gateway.port)
+            await client.connect()
+            await client.hello(huge)
+            head, _ = await client.stream(limit=3)
+            await client.bye()
+            await client.close()
+            for _ in range(100):
+                if gateway.stats()["sessions_detached"]:
+                    break
+                await asyncio.sleep(0.02)
+            return head
+
+        async def stream_steady(gateway):
+            client = GatewayClient(gateway.host, gateway.port)
+            await client.connect()
+            await client.hello(steady)
+            _, end = await client.stream()
+            await client.bye()
+            await client.close()
+            return end["report"]
+
+        async def scenario(gateway):
+            return await asyncio.wait_for(
+                asyncio.gather(stream_huge(gateway), stream_steady(gateway)),
+                timeout=120,
+            )
+
+        (head, report), results, _ = run(_with_gateway(scenario))
+        assert [f["frame"] for f in head] == [0, 1, 2]
+        assert report == _baseline([steady])["steady"]
+        by_id = {r.session_id: r for r in results}
+        assert by_id["huge"].worker == -1  # parked by its bye
+        assert by_id["huge"].report.n_frames >= 3
 
 
 # ----------------------------------------------------------------------
