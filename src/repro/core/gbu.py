@@ -102,6 +102,14 @@ class GBUConfig:
 
             get_backend(self.backend)
 
+    def resolved_backend_name(self) -> str:
+        """The backend name a device with this config renders with."""
+        if self.backend is not None:
+            return self.backend
+        from repro.render.backends import default_backend
+
+        return default_backend()
+
 
 @dataclass
 class GBUReport:
@@ -141,10 +149,6 @@ class GBUReport:
     @property
     def utilization(self) -> float:
         return self.tile_engine.utilization
-
-    @property
-    def memory_bound(self) -> bool:
-        return self.memory_seconds > self.compute_seconds
 
     @property
     def traffic_reduction(self) -> float:
@@ -283,7 +287,7 @@ class GBUDevice:
         # so the feature stream the cache sees must be the culled one:
         # approximation reduces memory traffic, not just compute.
         trace_lists = lists
-        if self.resolved_backend_name() == "approx":
+        if self.config.resolved_backend_name() == "approx":
             from repro.render.approx import cull_render_lists
 
             trace_lists, _ = cull_render_lists(projected, trace_lists)
@@ -396,14 +400,6 @@ class GBUDevice:
             )
         _, _, memory_s = self._blend_memory_seconds(cache, height, width, scales)
         return max(compute_seconds, memory_s)
-
-    def resolved_backend_name(self) -> str:
-        """The backend name this device will actually render with."""
-        if self.config.backend is not None:
-            return self.config.backend
-        from repro.render.backends import default_backend
-
-        return default_backend()
 
     def new_cache_state(self) -> TemporalReuseSimulator:
         """A fresh warm-cache state sized for this device.

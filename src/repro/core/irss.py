@@ -157,9 +157,6 @@ class TileRowWorkload:
     def n_tiles(self) -> int:
         return self.row_fragments.shape[0]
 
-    def total_fragments(self) -> int:
-        return int(self.row_fragments.sum())
-
     def row_utilization(self) -> float:
         """Mean ratio of row work to (16 x per-tile max row work): the
         SIMT lane utilization the paper measures at 18.9% (Sec. V-A

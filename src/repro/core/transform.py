@@ -85,13 +85,6 @@ class IRSSTransform:
         """y'' increment per one-pixel step down."""
         return self.u11
 
-    def transform_point(self, index: int, point: np.ndarray) -> np.ndarray:
-        """Map a pixel-space point to P''-space for Gaussian ``index``."""
-        d = np.asarray(point, dtype=np.float64) - self.means2d[index]
-        return np.array(
-            [self.u00[index] * d[0] + self.u01[index] * d[1], self.u11[index] * d[1]]
-        )
-
     def mahalanobis_sq(self, index: int, points: np.ndarray) -> np.ndarray:
         """Eq. 7 via ``||P''||^2`` for a batch of pixel-space points."""
         points = np.asarray(points, dtype=np.float64)

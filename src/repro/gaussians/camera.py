@@ -71,10 +71,6 @@ class Camera:
     def resolution(self) -> tuple[int, int]:
         return (self.width, self.height)
 
-    @property
-    def pixel_count(self) -> int:
-        return self.width * self.height
-
     def to_camera_space(self, points: np.ndarray) -> np.ndarray:
         """Apply the viewing transform ``W`` to (N, 3) world points."""
         points = np.asarray(points, dtype=np.float64)

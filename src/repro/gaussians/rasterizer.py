@@ -65,12 +65,6 @@ class RenderStats:
             return 0.0
         return self.fragments_significant / self.fragments_shaded
 
-    @property
-    def fragments_per_instance(self) -> float:
-        if self.instances_processed == 0:
-            return 0.0
-        return self.fragments_shaded / self.instances_processed
-
 
 @dataclass
 class RenderResult:

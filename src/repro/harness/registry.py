@@ -18,9 +18,9 @@ from repro.analysis import cache_study, literature, profiling, quality, scaling
 from repro.analysis import standalone_study, streaming
 from repro.analysis.endtoend import evaluate_all_configs
 from repro.errors import ValidationError
-from repro.harness.tables import format_table
 from repro.metrics.energy import EnergyModel
 from repro.scenes.catalog import EVALUATION_SCENES
+from repro.tables import format_table
 
 
 @dataclass

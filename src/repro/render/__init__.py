@@ -21,7 +21,6 @@ from repro.render.approx import (
     CullStats,
     cull_render_lists,
     default_policy,
-    gaussian_alpha_mass,
     render_irss_approx,
     render_pfs_approx,
     set_approx_policy,
@@ -63,7 +62,6 @@ __all__ = [
     "cull_render_lists",
     "default_backend",
     "default_policy",
-    "gaussian_alpha_mass",
     "get_backend",
     "list_backends",
     "register_backend",

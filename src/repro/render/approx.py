@@ -203,21 +203,6 @@ def use_approx_policy(policy: ApproxPolicy | float) -> Iterator[ApproxPolicy]:
         set_approx_policy(previous)
 
 
-def gaussian_alpha_mass(projected: Projected2D) -> np.ndarray:
-    """Closed-form per-Gaussian alpha mass (footprint integral).
-
-    The integral of ``opacity * exp(-0.5 * x^T C x)`` over the plane is
-    ``opacity * 2 * pi / sqrt(det C)`` for the conic ``C = (a, b; b, c)``
-    — a cheap, projection-time upper bound on how much blended alpha a
-    Gaussian can contribute anywhere on screen.  Used as the footprint
-    factor of :func:`tile_alpha_estimate`.
-    """
-    conics = projected.conics
-    det = conics[:, 0] * conics[:, 2] - conics[:, 1] ** 2
-    det = np.maximum(det, 1e-12)
-    return projected.opacities * (2.0 * np.pi / np.sqrt(det))
-
-
 def tile_alpha_estimate(
     projected: Projected2D, lists: RenderLists
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -63,11 +63,8 @@ single-frame renderer:
 
 from repro.stream.binning import BinningStats, WarmBinner
 from repro.stream.checkpoint import (
-    CHECKPOINT_FORMAT_VERSION,
     SessionCheckpoint,
     capture_checkpoint,
-    checkpoint_from_dict,
-    checkpoint_to_dict,
     restore_checkpoint,
 )
 from repro.stream.gateway import (
@@ -161,11 +158,8 @@ __all__ = [
     "SessionArchetype",
     "SessionArrival",
     "TrafficGenerator",
-    "CHECKPOINT_FORMAT_VERSION",
     "SessionCheckpoint",
     "capture_checkpoint",
-    "checkpoint_from_dict",
-    "checkpoint_to_dict",
     "restore_checkpoint",
     "GatewayClient",
     "StreamGateway",

@@ -111,7 +111,6 @@ class WarmBinner:
         self._frame_key: tuple | None = None
         self._grid_key: tuple | None = None
         self._lists: RenderLists | None = None
-        self._last_stats: BinningStats | None = None
 
     def reset(self) -> None:
         """Drop all cross-frame state (next build is fully cold)."""
@@ -122,11 +121,6 @@ class WarmBinner:
         self._frame_key = None
         self._grid_key = None
         self._lists = None
-        self._last_stats = None
-
-    @property
-    def last_stats(self) -> BinningStats | None:
-        return self._last_stats
 
     @property
     def frame_key(self) -> tuple | None:
@@ -171,9 +165,7 @@ class WarmBinner:
             and self._lists is not None
         ):
             n = self._lists.n_instances
-            stats = BinningStats(n, n, 0, full_reuse=True)
-            self._last_stats = stats
-            return self._lists, stats
+            return self._lists, BinningStats(n, n, 0, full_reuse=True)
 
         width, height = projected.image_size
         grid = TileGrid(width=width, height=height)
@@ -229,7 +221,6 @@ class WarmBinner:
             generated_instances=int(fresh_src.shape[0]),
         )
         self._lists = lists
-        self._last_stats = stats
         return lists, stats
 
 

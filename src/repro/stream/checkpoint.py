@@ -5,16 +5,21 @@ resume a stream session on a *different* worker (or a respawned one)
 with byte-identical output:
 
 * **trajectory cursor** — the next frame index to render;
-* **warm-binner frame key** — the last frame's camera/clock identity,
-  kept as telemetry (the binner's instance arrays are *not* shipped:
-  warm binning is exact, so a cold binner reproduces the same render
-  lists and images, it merely reports a lower
-  ``BinningStats.reuse_fraction`` on the first recovered frame);
 * **temporal cache resident set** — the
   :class:`~repro.core.reuse_cache.TemporalCacheState` snapshot
   (resident line ids + cumulative counters), which *does* shape every
   later frame's hit rates, memory traffic, and therefore simulated
-  latency.
+  latency;
+* **QoS controller state** — the detail/shard ladder position, so a
+  recovered session walks the identical quality trace.
+
+The warm binner is *not* shipped: warm binning is exact, so a cold
+binner reproduces the same render lists and images, it merely reports
+a lower ``BinningStats.reuse_fraction`` on the first recovered frame.
+
+A checkpoint is an in-memory value: it moves by reference inside a
+process and by pickle to a respawned worker, another node, or the
+gateway's parked-session table.  There is no stored file format.
 
 Checkpoints travel from worker to server on every successful tick and
 back to a worker on restore, so the only state lost in a crash is the
@@ -31,25 +36,11 @@ and the worker-crash tests of ``tests/stream/test_stream_server.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
 
 from repro.core.reuse_cache import TemporalCacheState
 from repro.errors import ValidationError
 from repro.stream.pipeline import FramePipeline
 from repro.stream.qos import QoSControllerState
-
-#: Serialization format version written by :func:`checkpoint_to_dict`.
-#:
-#: * **v1** (pre-PR-9, implicit — blobs without a ``version`` key):
-#:   no QoS shard-escalation counters (``shards`` / ``floor_misses`` /
-#:   ``comfortable_streak``), and ``active_detail`` / ``qos`` may be
-#:   absent entirely.  Restored with the legacy defaults.
-#: * **v2** (current): all fields explicit.
-#:
-#: Blobs newer than this build understands are rejected with
-#: :class:`~repro.errors.ValidationError` instead of being silently
-#: misread.
-CHECKPOINT_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -61,17 +52,14 @@ class SessionCheckpoint:
     session_id:
         The session this checkpoint belongs to.
     scene / detail:
-        Scene identity.  :func:`restore_checkpoint` validates the
-        scene; the server additionally matches ``session_id`` and
-        ``detail`` against the descriptor before replaying, so a
-        checkpoint is never applied to the wrong stream.
+        Scene identity and nominal detail.  :func:`restore_checkpoint`
+        validates both against the stream; the server additionally
+        matches ``session_id`` against the descriptor before
+        replaying, so a checkpoint is never applied to the wrong
+        stream.
     next_frame:
         Trajectory cursor: the first frame the restored session will
         render.
-    frame_key:
-        The warm binner's last frame key (camera fingerprint + scene
-        clock); informational/telemetry — replay correctness does not
-        depend on it because warm binning is exact from cold state.
     cache:
         Exported temporal reuse-cache state (resident set + cumulative
         counters).
@@ -94,11 +82,8 @@ class SessionCheckpoint:
     scene: str
     detail: float
     next_frame: int
-    # Telemetry only: warm binning is exact from cold state, so replay
-    # correctness never consults the last frame key (class docstring).
-    frame_key: tuple | None  # analyze: allow[CKPT202] telemetry-only field
     cache: TemporalCacheState
-    active_detail: float | None = None
+    active_detail: float
     qos: QoSControllerState | None = None
 
     @property
@@ -122,15 +107,18 @@ class SessionCheckpoint:
 
 
 def capture_checkpoint(
-    session_id: str, stream: FramePipeline, detail: float = 1.0
+    session_id: str, stream: FramePipeline, detail: float | None = None
 ) -> SessionCheckpoint:
-    """Snapshot a session's stream state after its latest frame."""
+    """Snapshot a session's stream state after its latest frame.
+
+    ``detail`` is the session's nominal detail; it defaults to the
+    stream's own ``detail``.
+    """
     return SessionCheckpoint(
         session_id=session_id,
         scene=stream.spec.name,
-        detail=detail,
+        detail=stream.detail if detail is None else detail,
         next_frame=stream.frames_rendered,
-        frame_key=stream.frame_key,
         cache=stream.cache_state.export_state(),
         active_detail=stream.active_detail,
         qos=(
@@ -146,7 +134,8 @@ def restore_checkpoint(
 ) -> None:
     """Replay a checkpoint onto a freshly built pipeline stream.
 
-    The stream must target the checkpoint's scene; its cache simulator
+    The stream must target the checkpoint's scene at its nominal
+    detail; its cache simulator
     must match the exported policy/geometry (enforced by
     :meth:`~repro.core.reuse_cache.TemporalReuseSimulator.import_state`).
     After this call, ``stream.render_next()`` produces frame
@@ -158,6 +147,11 @@ def restore_checkpoint(
             f"checkpoint of session '{checkpoint.session_id}' was taken on "
             f"scene '{checkpoint.scene}', stream renders '{stream.spec.name}'"
         )
+    if checkpoint.detail != stream.detail:
+        raise ValidationError(
+            f"checkpoint of session '{checkpoint.session_id}' was taken at "
+            f"detail {checkpoint.detail}, stream renders {stream.detail}"
+        )
     if (checkpoint.qos is not None) != (stream.controller is not None):
         raise ValidationError(
             f"checkpoint of session '{checkpoint.session_id}' and the "
@@ -166,203 +160,14 @@ def restore_checkpoint(
     stream.cache_state.import_state(checkpoint.cache)
     if checkpoint.qos is not None:
         stream.controller.import_state(checkpoint.qos)
-    active = (
-        checkpoint.detail
-        if checkpoint.active_detail is None
-        else checkpoint.active_detail
-    )
-    if active != stream.active_detail:
+    if checkpoint.active_detail != stream.active_detail:
         # Reload the rung the session was on when checkpointed — the
         # imported cache state belongs to that bundle, and the next
         # frame must flush only on a *real* rung change.
-        stream.load_detail(active)
+        stream.load_detail(checkpoint.active_detail)
     binner = getattr(stream, "binner", None)
     if binner is not None:
         # Exact pipeline only: warm binning is exact from cold state,
         # so the binner restarts cold (digest streams have no binner).
         binner.reset()
     stream.seek(checkpoint.next_frame)
-
-
-# -- JSON-safe serialization -------------------------------------------
-def _require(payload: Mapping[str, Any], key: str, context: str) -> Any:
-    """Fetch a required key, raising ValidationError (never KeyError)."""
-    if key not in payload:
-        raise ValidationError(f"checkpoint blob is missing {context} '{key}'")
-    return payload[key]
-
-
-def _key_to_json(value: Any) -> Any:
-    """JSON-encode one frame-key node.
-
-    Frame keys nest tuples of ints, floats (possibly numpy scalars)
-    and raw ``bytes`` camera fingerprints; JSON has none of those, so
-    tuples become lists, numpy scalars become Python numbers, and
-    bytes become a ``{"__bytes__": hex}`` marker object.
-    """
-    if isinstance(value, (tuple, list)):
-        return [_key_to_json(v) for v in value]
-    if isinstance(value, (bytes, bytearray)):
-        return {"__bytes__": bytes(value).hex()}
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return int(value)
-    if isinstance(value, float):
-        return float(value)
-    if hasattr(value, "item"):
-        # Numpy scalar (numpy stays unimported here): unwrap to the
-        # equivalent Python scalar and re-dispatch, so integral nodes
-        # round-trip as int — a float()-coerced integer key would no
-        # longer compare equal to a freshly computed frame key.
-        return _key_to_json(value.item())
-    raise ValidationError(
-        f"frame key holds unserializable value of type "
-        f"{type(value).__name__}"
-    )
-
-
-def _key_from_json(value: Any) -> Any:
-    """Invert :func:`_key_to_json`: lists back to tuples, markers back
-    to bytes."""
-    if isinstance(value, list):
-        return tuple(_key_from_json(v) for v in value)
-    if isinstance(value, Mapping):
-        if set(value) != {"__bytes__"}:
-            raise ValidationError(
-                "frame key object must be a {'__bytes__': hex} marker"
-            )
-        try:
-            return bytes.fromhex(value["__bytes__"])
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"frame key bytes marker is not valid hex: {exc}"
-            ) from exc
-    return value
-
-
-def checkpoint_to_dict(checkpoint: SessionCheckpoint) -> dict[str, Any]:
-    """Serialize a checkpoint to a JSON-safe dict (current version).
-
-    The inverse of :func:`checkpoint_from_dict`; a round trip restores
-    the exact same frozen dataclass up to frame-key scalar types (JSON
-    has no tuples, bytes, or numpy scalars, so :func:`_key_to_json` /
-    :func:`_key_from_json` translate — numpy scalars come back as
-    equal-valued Python numbers of the matching kind, ints as ints).
-    """
-    cache = checkpoint.cache
-    qos = checkpoint.qos
-    return {
-        "version": CHECKPOINT_FORMAT_VERSION,
-        "session_id": checkpoint.session_id,
-        "scene": checkpoint.scene,
-        "detail": checkpoint.detail,
-        "next_frame": checkpoint.next_frame,
-        "frame_key": (
-            None
-            if checkpoint.frame_key is None
-            else _key_to_json(checkpoint.frame_key)
-        ),
-        "cache": {
-            "policy": cache.policy,
-            "capacity_lines": cache.capacity_lines,
-            "bytes_per_line": cache.bytes_per_line,
-            "resident_ids": list(cache.resident_ids),
-            "frames_observed": cache.frames_observed,
-            "cumulative_accesses": cache.cumulative_accesses,
-            "cumulative_hits": cache.cumulative_hits,
-        },
-        "active_detail": checkpoint.active_detail,
-        "qos": (
-            None
-            if qos is None
-            else {
-                "scale": qos.scale,
-                "frames_observed": qos.frames_observed,
-                "misses": qos.misses,
-                "shards": qos.shards,
-                "floor_misses": qos.floor_misses,
-                "comfortable_streak": qos.comfortable_streak,
-            }
-        ),
-    }
-
-
-def checkpoint_from_dict(payload: Mapping[str, Any]) -> SessionCheckpoint:
-    """Deserialize a checkpoint blob, tolerating older formats.
-
-    Blobs without a ``version`` key are treated as **v1** (pre-PR-9):
-    the QoS shard-escalation counters and the ``active_detail``/``qos``
-    keys may be absent and restore with their legacy defaults, so old
-    persisted checkpoints keep working instead of dying on ``KeyError``.
-    Blobs versioned *newer* than :data:`CHECKPOINT_FORMAT_VERSION` are
-    rejected with :class:`~repro.errors.ValidationError` — a silent
-    partial read of a future format could resume the wrong stream
-    state.
-    """
-    if not isinstance(payload, Mapping):
-        raise ValidationError("checkpoint blob must be a JSON object")
-    version = payload.get("version", 1)
-    if not isinstance(version, int) or isinstance(version, bool) or version < 1:
-        raise ValidationError(
-            f"checkpoint blob has invalid version {version!r}"
-        )
-    if version > CHECKPOINT_FORMAT_VERSION:
-        raise ValidationError(
-            f"checkpoint blob version {version} is newer than this build "
-            f"understands (max {CHECKPOINT_FORMAT_VERSION})"
-        )
-    cache_payload = _require(payload, "cache", "field")
-    if not isinstance(cache_payload, Mapping):
-        raise ValidationError("checkpoint 'cache' must be a JSON object")
-    cache = TemporalCacheState(
-        policy=_require(cache_payload, "policy", "cache field"),
-        capacity_lines=int(
-            _require(cache_payload, "capacity_lines", "cache field")
-        ),
-        bytes_per_line=int(
-            _require(cache_payload, "bytes_per_line", "cache field")
-        ),
-        resident_ids=tuple(
-            int(i)
-            for i in _require(cache_payload, "resident_ids", "cache field")
-        ),
-        frames_observed=int(
-            _require(cache_payload, "frames_observed", "cache field")
-        ),
-        cumulative_accesses=int(
-            _require(cache_payload, "cumulative_accesses", "cache field")
-        ),
-        cumulative_hits=int(
-            _require(cache_payload, "cumulative_hits", "cache field")
-        ),
-    )
-    qos_payload = payload.get("qos")
-    qos = None
-    if qos_payload is not None:
-        if not isinstance(qos_payload, Mapping):
-            raise ValidationError("checkpoint 'qos' must be a JSON object")
-        qos = QoSControllerState(
-            scale=float(_require(qos_payload, "scale", "qos field")),
-            frames_observed=int(
-                _require(qos_payload, "frames_observed", "qos field")
-            ),
-            misses=int(_require(qos_payload, "misses", "qos field")),
-            # Shard escalation postdates v1 checkpoints: restore the
-            # legacy no-escalation defaults when the keys are absent.
-            shards=int(qos_payload.get("shards", 1)),
-            floor_misses=int(qos_payload.get("floor_misses", 0)),
-            comfortable_streak=int(qos_payload.get("comfortable_streak", 0)),
-        )
-    frame_key = payload.get("frame_key")
-    active_detail = payload.get("active_detail")
-    return SessionCheckpoint(
-        session_id=_require(payload, "session_id", "field"),
-        scene=_require(payload, "scene", "field"),
-        detail=float(_require(payload, "detail", "field")),
-        next_frame=int(_require(payload, "next_frame", "field")),
-        frame_key=None if frame_key is None else _key_from_json(frame_key),
-        cache=cache,
-        active_detail=None if active_detail is None else float(active_detail),
-        qos=qos,
-    )

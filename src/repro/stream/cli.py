@@ -27,7 +27,6 @@ from dataclasses import asdict, replace
 
 from repro.core.reuse_cache import POLICIES
 from repro.errors import ValidationError
-from repro.harness import format_table
 from repro.render.approx import APPROX_TOLERANCE_ENV_VAR
 from repro.render.backends import get_backend
 from repro.scenes.catalog import CATALOG
@@ -40,6 +39,7 @@ from repro.stream.scheduler import PLACEMENTS
 from repro.stream.server import SESSION_FIELD_RULES, StreamServer, StreamSession
 from repro.stream.traffic import MIXES, PROFILES, RateProfile, TrafficGenerator
 from repro.stream.trajectory import TRAJECTORY_KINDS as TRAJECTORIES, CameraTrajectory
+from repro.tables import format_table
 
 RENDER_MODES = ("exact", "approx")
 

@@ -69,10 +69,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.gbu import GBUConfig
 from repro.core.reuse_cache import CacheEconomics
 from repro.errors import ValidationError
 from repro.gaussians.camera import Camera
+from repro.render.approx import default_policy, tolerance_for_rung
 from repro.scenes.catalog import SceneBundle, SceneSpec, build_scene
+from repro.stream.qos import QualityController
 
 #: Tier levels, innermost first — the lookup walk order.
 TIER_LEVELS = ("session", "worker", "node", "fleet")
@@ -156,6 +159,40 @@ def render_mode_key(
     ``cache_policy`` is excluded on purpose (see module docstring).
     """
     return (backend, tolerance, fp16, shards, interleaved_rows, cross_tile_overlap)
+
+
+def render_mode(
+    config: GBUConfig,
+    controller: QualityController | None,
+    nominal_detail: float,
+    detail: float,
+    shards: int,
+) -> tuple:
+    """The render mode of one frame rendered at ``detail`` on ``shards``.
+
+    Exactly what the exact pipeline's device renders with: the resolved
+    backend, the effective approx tolerance (the QoS rung's tolerance
+    under a controller, the process default otherwise, ``None`` for
+    exact backends), and every config knob that changes pixels or
+    compute cycles.  The exact and digest pipelines both key frames
+    through this one function, so their content keys agree by
+    construction.
+    """
+    backend = config.resolved_backend_name()
+    tolerance = None
+    if backend == "approx":
+        if controller is not None:
+            tolerance = float(tolerance_for_rung(detail / nominal_detail))
+        else:
+            tolerance = float(default_policy().tolerance)
+    return render_mode_key(
+        backend,
+        tolerance,
+        config.fp16,
+        shards,
+        config.interleaved_rows,
+        config.cross_tile_overlap,
+    )
 
 
 def frame_content_key(

@@ -62,14 +62,13 @@ from repro.core.reuse_cache import (
     TemporalCacheState,
 )
 from repro.errors import ValidationError
-from repro.render.approx import default_policy, tolerance_for_rung
 from repro.scenes import SceneSpec
 from repro.scenes.catalog import CATALOG, AppType
 from repro.stream.binning import BinningStats, camera_fingerprint
 from repro.stream.content_cache import (
     CachedFrame,
     SessionContentView,
-    render_mode_key,
+    render_mode,
 )
 from repro.stream.pipeline import (
     FrameRecord,
@@ -380,7 +379,7 @@ def _calibrate_one(
         spec, kind, n_frames=n_frames, seed=seed, detail=detail
     )
     stream = FrameStream(spec, trajectory, config=config, detail=detail)
-    mode = stream._render_mode(1, detail)
+    mode = render_mode(stream.device.config, None, detail, detail, 1)
     state = stream.cache_state
     records = [stream.render_next() for _ in range(n_frames)]
     width, height = spec.eval_resolution(detail)
@@ -576,7 +575,10 @@ class DigestFrameStream:
         # table cannot serve this stream at all; also pins the cache
         # geometry the checkpoint state must round-trip through.
         base, _ = models.lookup(
-            spec.name, detail, trajectory.kind, self._render_mode(1, detail)
+            spec.name,
+            detail,
+            trajectory.kind,
+            render_mode(self.config, controller, detail, detail, 1),
         )
         self.cache_state = _DigestCacheState(
             base.cache_policy, base.capacity_lines, base.bytes_per_line
@@ -606,18 +608,6 @@ class DigestFrameStream:
     @property
     def active_detail(self) -> float:
         return self._active_detail
-
-    @property
-    def frame_key(self) -> tuple | None:
-        """Digest stand-in for the warm binner's last frame key.
-
-        Derived from the cursor (no hidden state to checkpoint): the
-        restored stream reports the same key the uninterrupted one
-        would.
-        """
-        if self._next_frame == 0:
-            return None
-        return ("digest", self._frame_clock(self._next_frame - 1))
 
     def load_detail(self, detail: float) -> None:
         """Switch the active rung (the digest has no bundle to swap)."""
@@ -659,11 +649,11 @@ class DigestFrameStream:
                 self.load_detail(detail)
                 self.cache_state.flush_resident()
         shards = 1 if self.controller is None else self.controller.next_shards
+        mode = render_mode(
+            self.config, self.controller, self.detail, detail, shards
+        )
         model, scale = self.models.lookup(
-            self.spec.name,
-            detail,
-            self.trajectory.kind,
-            self._render_mode(shards, detail),
+            self.spec.name, detail, self.trajectory.kind, mode
         )
         p = model.position(k)
         n_visible = max(int(round(model.n_visible[p] * scale)), 0)
@@ -690,7 +680,7 @@ class DigestFrameStream:
                 camera,
                 self._frame_clock(k),
                 detail,
-                self._render_mode(shards, detail),
+                mode,
             )
             self.key_trace.append(key)
             hit = self.content.lookup(key)
@@ -742,28 +732,6 @@ class DigestFrameStream:
         if self.spec.app_type is AppType.STATIC:
             return 0
         return frame % self._n_eval_frames
-
-    def _render_mode(self, shards: int, detail: float) -> tuple:
-        """Mirror :meth:`FrameStream._render_mode` without a device."""
-        backend = self.config.backend
-        if backend is None:
-            from repro.render.backends import default_backend
-
-            backend = default_backend()
-        tolerance = None
-        if backend == "approx":
-            if self.controller is not None:
-                tolerance = float(tolerance_for_rung(detail / self.detail))
-            else:
-                tolerance = float(default_policy().tolerance)
-        return render_mode_key(
-            backend,
-            tolerance,
-            self.config.fp16,
-            shards,
-            self.config.interleaved_rows,
-            self.config.cross_tile_overlap,
-        )
 
     def _jitter_unit(self, frame: int) -> float:
         """Deterministic per-frame factor in [-1, 1): counter-based

@@ -38,11 +38,11 @@ from repro.core.reuse_cache import FrameCacheSample
 from repro.errors import DeviceBusyError, ValidationError
 from repro.gaussians import project
 from repro.gpu import FrameWorkload, GPUTimingModel, ScaleFactors
-from repro.render.approx import default_policy, tolerance_for_rung, use_approx_policy
+from repro.render.approx import tolerance_for_rung, use_approx_policy
 from repro.scenes import BundleCache, SceneBundle, SceneSpec, build_scene
 from repro.scenes.catalog import CATALOG
 from repro.stream.binning import BinningStats, WarmBinner, camera_fingerprint
-from repro.stream.content_cache import CachedFrame, SessionContentView, render_mode_key
+from repro.stream.content_cache import CachedFrame, SessionContentView, render_mode
 from repro.stream.qos import QoSRecord, QualityController
 from repro.stream.trajectory import CameraTrajectory
 
@@ -77,9 +77,6 @@ class FramePipeline(Protocol):
 
     @property
     def active_detail(self) -> float: ...
-
-    @property
-    def frame_key(self) -> tuple | None: ...
 
     def load_detail(self, detail: float) -> None: ...
 
@@ -434,11 +431,6 @@ class FrameStream:
         self.binner = WarmBinner(self.bundle.n_source_gaussians)
         self._active_detail = detail
 
-    @property
-    def frame_key(self) -> tuple | None:
-        """The warm binner's last frame key (``None`` before frame 0)."""
-        return self.binner.frame_key
-
     def reset(self) -> None:
         """Drop all cross-frame state and restart at frame 0."""
         if self._active_detail != self.detail:
@@ -498,7 +490,9 @@ class FrameStream:
                 camera,
                 self.bundle.frame_clock(k),
                 detail,
-                self._render_mode(shards, detail),
+                render_mode(
+                    self.device.config, self.controller, self.detail, detail, shards
+                ),
             )
             self.key_trace.append(key)
             hit = self.content.lookup(key)
@@ -549,32 +543,6 @@ class FrameStream:
         )
         self._next_frame = k + 1
         return record
-
-    def _render_mode(self, shards: int, detail: float) -> tuple:
-        """The render-mode component of this frame's content address.
-
-        Mirrors exactly what :meth:`_render_via_device` is about to do:
-        the resolved backend, the effective approx tolerance (the QoS
-        rung's tolerance under a controller, the process default
-        otherwise, ``None`` for exact backends), and every device knob
-        that changes pixels or compute cycles.
-        """
-        backend = self.device.resolved_backend_name()
-        tolerance = None
-        if backend == "approx":
-            if self.controller is not None:
-                tolerance = float(tolerance_for_rung(detail / self.detail))
-            else:
-                tolerance = float(default_policy().tolerance)
-        config = self.device.config
-        return render_mode_key(
-            backend,
-            tolerance,
-            config.fp16,
-            shards,
-            config.interleaved_rows,
-            config.cross_tile_overlap,
-        )
 
     def _serve_cached(
         self,
@@ -669,7 +637,7 @@ class FrameStream:
         if (
             self.controller is not None
             and detail is not None
-            and self.device.resolved_backend_name() == "approx"
+            and self.device.config.resolved_backend_name() == "approx"
         ):
             ctx = use_approx_policy(tolerance_for_rung(detail / self.detail))
         with ctx:

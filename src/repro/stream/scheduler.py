@@ -412,9 +412,6 @@ class StreamScheduler:
             raise ValidationError(f"unknown session '{session_id}'")
         self._paused.discard(session_id)
 
-    def is_paused(self, session_id: str) -> bool:
-        return session_id in self._paused
-
     @property
     def paused(self) -> list[str]:
         """Session ids currently excluded from dispatch (sorted)."""

@@ -273,7 +273,6 @@ class _WorkerState:
         self.models = models
         self.streams: dict[str, FramePipeline] = {}
         self.budgets: dict[str, int] = {}
-        self.details: dict[str, float] = {}
         # Content-addressed render cache: this worker owns the worker
         # tier (chained to the server's node tier when in-process; a
         # subprocess worker's chain ends here) and one session tier per
@@ -297,7 +296,6 @@ class _WorkerState:
             self.bundles.clear()
         self.streams.clear()
         self.budgets.clear()
-        self.details.clear()
         if self.content_config is not None:
             self.worker_tier = CacheTier(
                 "worker",
@@ -374,7 +372,6 @@ class _WorkerState:
             )
         self.streams[session.session_id] = stream
         self.budgets[session.session_id] = session.frame_budget
-        self.details[session.session_id] = session.detail
         return stream
 
     def render_tick(self, sessions: list[StreamSession | str]) -> TickResult:
@@ -400,7 +397,7 @@ class _WorkerState:
                 continue
             result.frames.append((session_id, stream.render_next()))
             result.checkpoints[session_id] = capture_checkpoint(
-                session_id, stream, detail=self.details[session_id]
+                session_id, stream
             )
             view = self.views.get(session_id)
             if view is not None:
@@ -440,7 +437,6 @@ class _WorkerState:
         for session_id in session_ids:
             self.streams.pop(session_id, None)
             self.budgets.pop(session_id, None)
-            self.details.pop(session_id, None)
             self.views.pop(session_id, None)
 
 

@@ -1,4 +1,9 @@
-"""Minimal plain-text table formatting for experiment output."""
+"""Minimal plain-text table formatting for experiment and CLI output.
+
+Lives below every package layer (it imports only :mod:`repro.errors`)
+so the ``repro-stream`` CLI can print tables without loading the
+experiment harness and, through it, the paper-analysis layer.
+"""
 
 from __future__ import annotations
 

@@ -1,8 +1,6 @@
 """Checkpoints: cache state export/import, stream capture/replay."""
 
-import json
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,15 +15,8 @@ from repro.stream import (
     capture_checkpoint,
     restore_checkpoint,
 )
-from repro.stream.checkpoint import (
-    CHECKPOINT_FORMAT_VERSION,
-    checkpoint_from_dict,
-    checkpoint_to_dict,
-)
-from repro.stream.qos import FrameDeadline, QualityController
 
 DETAIL = 0.25
-FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _frame_traces(n_frames=4, n_gaussians=40, seed=3):
@@ -155,152 +146,22 @@ def test_restore_rejects_wrong_scene():
         restore_checkpoint(other, ckpt)
 
 
+def test_restore_rejects_wrong_nominal_detail():
+    spec = CATALOG["bicycle"]
+    traj = CameraTrajectory.for_scene(spec, "frozen", n_frames=2, detail=DETAIL)
+    stream = FrameStream(spec, traj, detail=DETAIL)
+    stream.render_next()
+    ckpt = capture_checkpoint("client", stream)
+    assert ckpt.detail == DETAIL
+
+    other = FrameStream(spec, traj, detail=0.5)
+    with pytest.raises(ValidationError, match="detail"):
+        restore_checkpoint(other, ckpt)
+
+
 def test_seek_rejects_negative_frames():
     spec = CATALOG["bonsai"]
     traj = CameraTrajectory.for_scene(spec, "frozen", n_frames=2, detail=DETAIL)
     stream = FrameStream(spec, traj, detail=DETAIL)
     with pytest.raises(ValidationError):
         stream.seek(-1)
-
-
-# -- serialization format and backwards compatibility -------------------
-def _qos_stream(bundle=None, traj=None):
-    spec = CATALOG["bicycle"]
-    bundle = build_scene(spec, detail=DETAIL) if bundle is None else bundle
-    traj = (
-        CameraTrajectory.for_scene(spec, "orbit", n_frames=6, detail=DETAIL)
-        if traj is None
-        else traj
-    )
-    controller = QualityController(
-        FrameDeadline(300.0), None, nominal_detail=DETAIL
-    )
-    return (
-        FrameStream(
-            spec,
-            traj,
-            detail=DETAIL,
-            keep_images=True,
-            bundle=bundle,
-            controller=controller,
-        ),
-        bundle,
-        traj,
-    )
-
-
-def test_checkpoint_dict_roundtrip_is_exact():
-    """to_dict -> real JSON text -> from_dict restores the dataclass."""
-    stream, _, _ = _qos_stream()
-    for _ in range(3):
-        stream.render_next()
-    ckpt = capture_checkpoint("rt", stream, detail=DETAIL)
-    blob = json.loads(json.dumps(checkpoint_to_dict(ckpt)))
-    assert blob["version"] == CHECKPOINT_FORMAT_VERSION
-    assert checkpoint_from_dict(blob) == ckpt
-
-
-def test_numpy_integer_key_nodes_round_trip_as_int():
-    """Numpy integer scalars inside frame keys must come back as
-    Python ints — a float-coerced node would silently stop comparing
-    equal to a freshly computed key, defeating cache-key matching
-    after restore."""
-    from repro.stream.checkpoint import _key_from_json, _key_to_json
-
-    key = (
-        np.int64(7),
-        np.float32(0.5),
-        np.bool_(True),
-        (np.int32(-3), b"\x01\xff"),
-    )
-    restored = _key_from_json(json.loads(json.dumps(_key_to_json(key))))
-    assert restored == (7, np.float32(0.5).item(), True, (-3, b"\x01\xff"))
-    assert type(restored[0]) is int
-    assert type(restored[1]) is float
-    assert type(restored[2]) is bool
-    assert type(restored[3][0]) is int
-
-
-def test_pre_pr9_fixture_restores_cleanly():
-    """A committed v1 blob (no version key, no shard counters, no
-    active_detail) must deserialize with legacy defaults — never a
-    KeyError — and drive a restored stream to completion."""
-    blob = json.loads(
-        (FIXTURES / "checkpoint_pre_pr9.json").read_text()
-    )
-    assert "version" not in blob  # the fixture really is pre-versioning
-    assert "shards" not in blob["qos"]
-    ckpt = checkpoint_from_dict(blob)
-    assert ckpt.next_frame == 3
-    assert ckpt.active_detail is None
-    assert ckpt.qos.shards == 1
-    assert ckpt.qos.floor_misses == 0
-    assert ckpt.qos.comfortable_streak == 0
-
-    stream, _, _ = _qos_stream()
-    restore_checkpoint(stream, ckpt)
-    tail = [stream.render_next() for _ in range(3)]
-    assert [r.frame for r in tail] == [3, 4, 5]
-
-
-def test_v1_blob_without_qos_continues_byte_identically():
-    """Strip a fixed-quality checkpoint down to the v1 shape: the
-    restored stream must still be byte-identical to an uninterrupted
-    run (v1's missing fields only ever carried QoS escalation state)."""
-    spec = CATALOG["bicycle"]
-    bundle = build_scene(spec, detail=DETAIL)
-    traj = CameraTrajectory.for_scene(spec, "orbit", n_frames=6, detail=DETAIL)
-
-    uninterrupted = FrameStream(
-        spec, traj, detail=DETAIL, keep_images=True, bundle=bundle
-    )
-    full = [uninterrupted.render_next() for _ in range(6)]
-
-    original = FrameStream(
-        spec, traj, detail=DETAIL, keep_images=True, bundle=bundle
-    )
-    for _ in range(3):
-        original.render_next()
-    blob = checkpoint_to_dict(capture_checkpoint("v1", original, detail=DETAIL))
-    del blob["version"]
-    del blob["active_detail"]
-    blob = json.loads(json.dumps(blob))
-
-    recovered = FrameStream(
-        spec, traj, detail=DETAIL, keep_images=True, bundle=bundle
-    )
-    restore_checkpoint(recovered, checkpoint_from_dict(blob))
-    tail = [recovered.render_next() for _ in range(3)]
-    assert _key_fields(tail) == _key_fields(full[3:])
-    for expect, got in zip(full[3:], tail):
-        assert np.array_equal(expect.image, got.image)
-
-
-def test_future_version_blob_is_rejected():
-    stream, _, _ = _qos_stream()
-    stream.render_next()
-    blob = checkpoint_to_dict(capture_checkpoint("fut", stream, detail=DETAIL))
-    blob["version"] = CHECKPOINT_FORMAT_VERSION + 1
-    with pytest.raises(ValidationError, match="newer than this build"):
-        checkpoint_from_dict(blob)
-
-
-@pytest.mark.parametrize("version", [0, -1, "2", 1.5, True])
-def test_malformed_version_is_rejected(version):
-    stream, _, _ = _qos_stream()
-    stream.render_next()
-    blob = checkpoint_to_dict(capture_checkpoint("bad", stream, detail=DETAIL))
-    blob["version"] = version
-    with pytest.raises(ValidationError, match="invalid version"):
-        checkpoint_from_dict(blob)
-
-
-def test_missing_required_field_raises_validation_error():
-    stream, _, _ = _qos_stream()
-    stream.render_next()
-    blob = checkpoint_to_dict(capture_checkpoint("mis", stream, detail=DETAIL))
-    del blob["cache"]
-    with pytest.raises(ValidationError, match="missing"):
-        checkpoint_from_dict(blob)
-    with pytest.raises(ValidationError, match="JSON object"):
-        checkpoint_from_dict([1, 2, 3])

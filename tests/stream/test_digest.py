@@ -170,7 +170,6 @@ def test_checkpoint_restore_is_byte_identical(split, jitter):
     restored = DigestFrameStream(spec, trajectory, table, detail=DETAIL)
     restore_checkpoint(restored, checkpoint)
     assert restored.frames_rendered == original.frames_rendered
-    assert restored.frame_key == original.frame_key
 
     tail_a = _records(original.run(total - split))
     tail_b = _records(restored.run(total - split))

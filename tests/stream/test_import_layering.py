@@ -1,10 +1,10 @@
-"""The serving stack imports without the paper-analysis layer or scipy.
+"""The serving stack and the metrics import without scipy.
 
-``setup.py`` declares only numpy, so ``repro.stream`` must not reach
-``repro.analysis`` or ``repro.metrics`` (which loads ``scipy.signal``).
-The check runs in a fresh interpreter with scipy blocked by a
-meta-path finder, so modules this test process already imported
-cannot hide a regression.
+``setup.py`` declares only numpy, so no module may need scipy, and
+``repro.stream`` (its CLI included) must not reach ``repro.analysis``
+or ``repro.metrics``.  The check runs in a fresh interpreter with
+scipy blocked by a meta-path finder, so modules this test process
+already imported cannot hide a regression.
 """
 
 import os
@@ -15,6 +15,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 PROBE = """
+import importlib
 import sys
 
 
@@ -25,8 +26,8 @@ class BlockScipy:
 
 
 sys.meta_path.insert(0, BlockScipy())
-import repro.stream
-import repro.stream.gateway
+for module in sys.argv[1:]:
+    importlib.import_module(module)
 
 print(sorted(
     name for name in sys.modules
@@ -35,11 +36,22 @@ print(sorted(
 """
 
 
-def test_serving_stack_imports_without_scipy_or_analysis():
+def _probe(*modules: str) -> str:
+    """Import ``modules`` with scipy blocked; the analysis/metrics
+    modules that got loaded, as printed by the probe."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, "-c", PROBE],
+        [sys.executable, "-c", PROBE, *modules],
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_serving_stack_imports_without_scipy_or_analysis():
+    loaded = _probe("repro.stream", "repro.stream.gateway", "repro.stream.cli")
+    assert loaded == "[]"
+
+
+def test_metrics_import_without_scipy():
+    assert "'repro.metrics.image'" in _probe("repro.metrics")
