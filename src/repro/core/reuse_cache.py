@@ -177,18 +177,17 @@ def next_use_tiles(trace: np.ndarray, tile_of_access: np.ndarray) -> np.ndarray:
     access (``+inf`` when never reused).
 
     This is the quantity the D&B engine precomputes per (tile,
-    Gaussian) pair in Fig. 12(a).
+    Gaussian) pair in Fig. 12(a).  It takes one stable sort by Gaussian
+    id, not a scan: within each id's run of the sorted order, accesses
+    stay in trace order, so each access's successor in the run is its
+    next use.
     """
     _validate_trace(trace, tile_of_access)
-    n = trace.shape[0]
-    next_use = np.full(n, np.inf)
-    last_seen: dict[int, int] = {}
-    for i in range(n - 1, -1, -1):
-        g = int(trace[i])
-        j = last_seen.get(g)
-        if j is not None:
-            next_use[i] = tile_of_access[j]
-        last_seen[g] = i
+    order = np.argsort(trace, kind="stable")
+    ids = trace[order]
+    reused = ids[1:] == ids[:-1]
+    next_use = np.full(trace.shape[0], np.inf)
+    next_use[order[:-1][reused]] = tile_of_access[order[1:][reused]]
     return next_use
 
 
@@ -418,43 +417,38 @@ class TemporalReuseSimulator:
 
     # Each loop returns the frame's ``(hits, carried_hits)``.  A hit on
     # a line's first touch this frame can only be served by a line
-    # resident before the frame began: that is a carried hit.
+    # resident before the frame began: that is a carried hit.  The loops
+    # walk plain Python lists: indexing a numpy array per access would
+    # box one scalar per element.
 
     def _observe_rd(
         self, trace: np.ndarray, tile_of_access: np.ndarray
     ) -> tuple[int, int]:
-        n = trace.shape[0]
         next_use = next_use_tiles(trace, tile_of_access)
+        ids, first, fresh = _first_touches(trace)
         # Re-key carried lines with their first use in this frame.
-        first_use: dict[int, float] = {}
-        for i in range(n - 1, -1, -1):
-            first_use[int(trace[i])] = float(tile_of_access[i])
-        resident = {
-            g: first_use.get(g, np.inf) for g in self._resident
-        }
+        first_use = dict(
+            zip(ids.tolist(), tile_of_access[first].astype(np.float64).tolist())
+        )
+        resident = {g: first_use.get(g, np.inf) for g in self._resident}
         heap: list[tuple[float, int]] = [(-nu, g) for g, nu in resident.items()]
         heapq.heapify(heap)
 
+        capacity = self.capacity_lines
         hits = 0
         carried = 0
-        touched: set[int] = set()
-        for i in range(n):
-            g = int(trace[i])
-            nu = float(next_use[i])
+        for g, nu, is_first in zip(trace.tolist(), next_use.tolist(), fresh.tolist()):
             if g in resident:
                 hits += 1
-                if g not in touched:
-                    carried += 1
-                    touched.add(g)
+                carried += is_first
                 # Step 4: refresh the line's reuse distance.
                 resident[g] = nu
                 heapq.heappush(heap, (-nu, g))
                 continue
-            touched.add(g)
             # Miss: evict the farthest-reuse line if full (Steps 2-3).
             # Stale heap entries (superseded by a hit's refresh) are
             # skipped on pop.
-            if len(resident) >= self.capacity_lines:
+            if len(resident) >= capacity:
                 while heap:
                     neg_nu, victim = heapq.heappop(heap)
                     if victim in resident and resident[victim] == -neg_nu:
@@ -473,25 +467,31 @@ class TemporalReuseSimulator:
         arrival order."""
         resident = self._resident
         lru = self.policy == "lru"
+        capacity = self.capacity_lines
         hits = 0
         carried = 0
-        touched: set[int] = set()
-        for i in range(trace.shape[0]):
-            g = int(trace[i])
+        for g, is_first in zip(trace.tolist(), _first_touches(trace)[2].tolist()):
             if g in resident:
                 hits += 1
-                if g not in touched:
-                    carried += 1
-                    touched.add(g)
+                carried += is_first
                 if lru:
                     del resident[g]
                     resident[g] = 0.0
                 continue
-            touched.add(g)
-            if len(resident) >= self.capacity_lines:
+            if len(resident) >= capacity:
                 del resident[next(iter(resident))]
             resident[g] = 0.0
         return hits, carried
+
+
+def _first_touches(trace: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(ids, first, fresh)``: the distinct Gaussian ids of a trace,
+    the index of each one's first access, and per access whether it is
+    that Gaussian's first this frame."""
+    ids, first = np.unique(trace, return_index=True)
+    fresh = np.zeros(trace.shape[0], dtype=bool)
+    fresh[first] = True
+    return ids, first, fresh
 
 
 def sweep_cache_sizes(

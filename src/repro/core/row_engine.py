@@ -110,44 +110,54 @@ class RowEngineEstimate:
         return float(self.useful_cycles / denom)
 
 
-def analytic_tile_cycles(
+def analytic_cycles(
     row_fragments: np.ndarray,
     row_segments: np.ndarray,
-    n_instances: int,
-    search_instances: int,
+    n_instances: np.ndarray,
+    search_instances: np.ndarray,
     calib: GBUCalibration = DEFAULT_GBU_CALIBRATION,
     n_pes: int = 8,
     interleaved: bool = True,
-) -> RowEngineEstimate:
-    """Analytic tile latency from per-row aggregate workload.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Analytic latency of a batch of tiles from per-row aggregates.
 
     Parameters
     ----------
     row_fragments / row_segments:
-        (n_rows,) totals over all instances of the tile.
+        (n_tiles, n_rows) totals over all instances of each tile.
     n_instances:
-        Gaussians processed by the generation engine for this tile.
+        (n_tiles,) Gaussians processed by the generation engine.
     search_instances:
-        Instances needing a binary search.  The comparator array
-        searches all rows of an instance concurrently, so each such
-        instance pays one parallel search latency of
+        (n_tiles,) instances needing a binary search.  The comparator
+        array searches all rows of an instance concurrently, so each
+        such instance pays one parallel search latency of
         ``ceil(log2(tile)) * rowgen_search_cycles``.
+
+    Returns ``(generation, row_pe, tile, useful)`` cycles: (n_tiles,)
+    serialized Row Generation Engine cycles, (n_tiles, n_pes)
+    serialized shading cycles per Row PE, (n_tiles,) tile latency under
+    the deep-buffer assumption, and (n_tiles,) fragment-shading cycles
+    summed over PEs.  Each tile is computed independently of the
+    others, with the same arithmetic as a one-tile batch.
     """
     row_fragments = np.asarray(row_fragments, dtype=np.float64)
     row_segments = np.asarray(row_segments, dtype=np.float64)
-    n_rows = row_fragments.shape[0]
-    assignment = row_assignment(n_rows, n_pes, interleaved)
+    n_rows = row_fragments.shape[1]
+    assignment = np.stack(row_assignment(n_rows, n_pes, interleaved))
 
     per_row = (
         row_fragments * calib.fragment_cycles + row_segments * calib.segment_issue_cycles
     )
-    pe_cycles = np.array([per_row[rows].sum() for rows in assignment])
-    search_latency = np.ceil(np.log2(max(row_fragments.shape[0], 2)))
-    gen = float(
-        n_instances * calib.rowgen_gaussian_cycles
-        + search_instances * search_latency * calib.rowgen_search_cycles
-    )
-    pe_max = float(pe_cycles.max(initial=0.0))
+    # (n_tiles, n_pes, rows per PE): each PE's rows gathered in row
+    # order.  Made C-contiguous so every tile's PE sums run along the
+    # memory axis, one association order whatever the batch size.
+    pe_cycles = np.ascontiguousarray(per_row[:, assignment]).sum(axis=2)
+    search_latency = np.ceil(np.log2(max(n_rows, 2)))
+    gen = (
+        np.asarray(n_instances) * calib.rowgen_gaussian_cycles
+        + np.asarray(search_instances) * search_latency * calib.rowgen_search_cycles
+    ).astype(np.float64)
+    pe_max = pe_cycles.max(axis=1, initial=0.0)
     # Deep-buffer makespan.  The slower engine is always busy once
     # fed, so its serialized time is a floor; how much of the *other*
     # engine's work overlaps depends on how the per-instance work is
@@ -159,16 +169,40 @@ def analytic_tile_cycles(
     # the tick simulator to track it within the +-20% band across
     # random traces (tests/core/test_row_engine.py).  The +1 is the
     # simulator's loop-exit cycle.
-    if gen > 0 or pe_max > 0:
-        tile = max(gen, pe_max) + 0.5 * min(gen, pe_max) + 1.0
-    else:
-        tile = 0.0
-    useful = float(row_fragments.sum() * calib.fragment_cycles)
+    tile = np.where(
+        (gen > 0) | (pe_max > 0),
+        np.maximum(gen, pe_max) + 0.5 * np.minimum(gen, pe_max) + 1.0,
+        0.0,
+    )
+    useful = row_fragments.sum(axis=1) * calib.fragment_cycles
+    return gen, pe_cycles, tile, useful
+
+
+def analytic_tile_cycles(
+    row_fragments: np.ndarray,
+    row_segments: np.ndarray,
+    n_instances: int,
+    search_instances: int,
+    calib: GBUCalibration = DEFAULT_GBU_CALIBRATION,
+    n_pes: int = 8,
+    interleaved: bool = True,
+) -> RowEngineEstimate:
+    """Analytic latency of one tile: the one-tile case of
+    :func:`analytic_cycles`, whose parameters these are per tile."""
+    gen, pe_cycles, tile, useful = analytic_cycles(
+        np.asarray(row_fragments, dtype=np.float64)[None],
+        np.asarray(row_segments, dtype=np.float64)[None],
+        np.asarray([n_instances]),
+        np.asarray([search_instances]),
+        calib=calib,
+        n_pes=n_pes,
+        interleaved=interleaved,
+    )
     return RowEngineEstimate(
-        generation_cycles=float(gen),
-        row_pe_cycles=pe_cycles,
-        tile_cycles=tile,
-        useful_cycles=useful,
+        generation_cycles=float(gen[0]),
+        row_pe_cycles=pe_cycles[0],
+        tile_cycles=float(tile[0]),
+        useful_cycles=float(useful[0]),
     )
 
 

@@ -1,7 +1,7 @@
 """The Row-Centric Tile Engine at frame granularity (Sec. V-C).
 
-Aggregates the per-tile analytic estimates of
-:mod:`repro.core.row_engine` over a whole frame's
+Evaluates the analytic model of :mod:`repro.core.row_engine` for
+every tile at once over a whole frame's
 :class:`~repro.core.irss.TileRowWorkload`, producing the compute-side
 cycle count, per-component breakdown and utilization of one Tile PE
 rendering every tile in traversal order.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.irss import TileRowWorkload
-from repro.core.row_engine import analytic_tile_cycles
+from repro.core.row_engine import analytic_cycles
 from repro.errors import ValidationError
 from repro.gpu.calibration import DEFAULT_GBU_CALIBRATION, GBUCalibration
 from repro.gpu.specs import GBU_SPEC, GBUSpec
@@ -103,33 +103,35 @@ def simulate_tile_engine(
             f"workload rows ({workload.row_fragments.shape[1]}) do not match "
             f"the Tile PE's rows per tile ({spec.rows_per_tile})"
         )
+    # Idle tiles (no instance set up) cost nothing and feed no PE.
+    busy = np.flatnonzero(workload.instance_setup != 0)
+    gen, pe_cycles, tile, useful = analytic_cycles(
+        workload.row_fragments[busy],
+        workload.row_segments[busy],
+        workload.instance_setup[busy],
+        workload.instance_search[busy],
+        calib=calib,
+        n_pes=spec.n_row_pes,
+        interleaved=interleaved,
+    )
     tile_cycles = np.zeros(n_tiles)
     gen_cycles = np.zeros(n_tiles)
     max_pe = np.zeros(n_tiles)
-    useful = np.zeros(n_tiles)
+    useful_cycles = np.zeros(n_tiles)
+    tile_cycles[busy] = tile
+    gen_cycles[busy] = gen
+    max_pe[busy] = pe_cycles.max(axis=1, initial=0.0)
+    useful_cycles[busy] = useful
+    # Summed tile by tile in traversal order: an accumulate never
+    # reassociates, where a sum down a contiguous axis goes pairwise.
     pe_frame = np.zeros(spec.n_row_pes)
-    for t in range(n_tiles):
-        if workload.instance_setup[t] == 0:
-            continue
-        est = analytic_tile_cycles(
-            workload.row_fragments[t],
-            workload.row_segments[t],
-            int(workload.instance_setup[t]),
-            int(workload.instance_search[t]),
-            calib=calib,
-            n_pes=spec.n_row_pes,
-            interleaved=interleaved,
-        )
-        tile_cycles[t] = est.tile_cycles
-        gen_cycles[t] = est.generation_cycles
-        max_pe[t] = float(est.row_pe_cycles.max(initial=0.0))
-        useful[t] = est.useful_cycles
-        pe_frame += est.row_pe_cycles
+    if busy.size:
+        pe_frame = np.add.accumulate(pe_cycles, axis=0)[-1]
     report = TileEngineReport(
         tile_cycles=tile_cycles,
         generation_cycles=gen_cycles,
         max_row_pe_cycles=max_pe,
-        useful_cycles=useful,
+        useful_cycles=useful_cycles,
         pe_frame_cycles=pe_frame,
         cross_tile_overlap=cross_tile_overlap,
         drain_cycles=calib.tile_drain_cycles,

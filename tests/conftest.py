@@ -37,6 +37,42 @@ def exact_renders(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def irss_chunks(monkeypatch):
+    """``count(projected, lists=None, **kwargs)`` renders once through
+    the vectorized IRSS backend at the current chunk budget and returns
+    ``(tile_chunks, depth_chunks)``: the tile chunks it materialized and
+    the depth chunks it scanned.  More depth chunks than tile chunks
+    means some tile chunk really was split in depth.  Counts calls,
+    never times them."""
+    import repro.render.vectorized as vectorized
+
+    def count(projected, lists=None, **kwargs):
+        calls = {"tile": 0, "depth": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+
+            return wrapped
+
+        batch = vectorized._TileBatch
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                batch, "padded_members", counting("tile", batch.padded_members)
+            )
+            patch.setattr(
+                vectorized,
+                "_chunk_transmittance",
+                counting("depth", vectorized._chunk_transmittance),
+            )
+            vectorized.render_irss_vectorized(projected, lists, **kwargs)
+        return calls["tile"], calls["depth"]
+
+    return count
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)

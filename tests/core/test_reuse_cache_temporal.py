@@ -1,6 +1,7 @@
 """Temporal (cross-frame) behavior of the Gaussian Reuse Cache, and
 its cold first frame against a textbook reference."""
 
+import heapq
 from collections import OrderedDict
 
 import numpy as np
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 from repro.core.reuse_cache import (
     POLICIES,
     TemporalReuseSimulator,
+    next_use_tiles,
 )
-from repro.errors import ValidationError
+from repro.errors import SimulationError, ValidationError
 
 
 def textbook_hits(trace, tiles, capacity, policy) -> int:
@@ -139,3 +141,140 @@ def test_validation():
     sim = TemporalReuseSimulator(8)
     with pytest.raises(ValidationError):
         sim.observe_frame(np.zeros(3), np.zeros(4))
+
+
+def loop_next_use_tiles(trace, tile_of_access):
+    """Next-use tiles by a reverse scan with a dict (the oracle for the
+    sort-based ``next_use_tiles``)."""
+    next_use = np.full(trace.shape[0], np.inf)
+    last_seen: dict[int, int] = {}
+    for i in range(trace.shape[0] - 1, -1, -1):
+        g = int(trace[i])
+        j = last_seen.get(g)
+        if j is not None:
+            next_use[i] = tile_of_access[j]
+        last_seen[g] = i
+    return next_use
+
+
+class LoopCache:
+    """The warm cache as a per-access loop over numpy scalars, with a
+    ``touched`` set for carried hits: the oracle for
+    :class:`TemporalReuseSimulator`'s batched bookkeeping.  Same
+    ``(-next_use, id)`` heap tie rule and the same resident-dict order."""
+
+    def __init__(self, capacity, policy):
+        self.capacity = capacity
+        self.policy = policy
+        self.resident: dict[int, float] = {}
+
+    def observe(self, trace, tiles):
+        if self.capacity == 0:
+            return 0, 0
+        if self.policy == "reuse_distance":
+            return self._rd(trace, tiles)
+        return self._order(trace)
+
+    def _rd(self, trace, tiles):
+        n = trace.shape[0]
+        next_use = loop_next_use_tiles(trace, tiles)
+        first_use: dict[int, float] = {}
+        for i in range(n - 1, -1, -1):
+            first_use[int(trace[i])] = float(tiles[i])
+        resident = {g: first_use.get(g, np.inf) for g in self.resident}
+        heap = [(-nu, g) for g, nu in resident.items()]
+        heapq.heapify(heap)
+        hits = carried = 0
+        touched: set[int] = set()
+        for i in range(n):
+            g = int(trace[i])
+            nu = float(next_use[i])
+            if g in resident:
+                hits += 1
+                if g not in touched:
+                    carried += 1
+                    touched.add(g)
+                resident[g] = nu
+                heapq.heappush(heap, (-nu, g))
+                continue
+            touched.add(g)
+            if len(resident) >= self.capacity:
+                while heap:
+                    neg_nu, victim = heapq.heappop(heap)
+                    if victim in resident and resident[victim] == -neg_nu:
+                        del resident[victim]
+                        break
+                else:
+                    raise SimulationError("eviction heap exhausted with full cache")
+            resident[g] = nu
+            heapq.heappush(heap, (-nu, g))
+        self.resident = resident
+        return hits, carried
+
+    def _order(self, trace):
+        resident = self.resident
+        hits = carried = 0
+        touched: set[int] = set()
+        for i in range(trace.shape[0]):
+            g = int(trace[i])
+            if g in resident:
+                hits += 1
+                if g not in touched:
+                    carried += 1
+                    touched.add(g)
+                if self.policy == "lru":
+                    del resident[g]
+                    resident[g] = 0.0
+                continue
+            touched.add(g)
+            if len(resident) >= self.capacity:
+                del resident[next(iter(resident))]
+            resident[g] = 0.0
+        return hits, carried
+
+
+N_IDS = 12
+
+
+@st.composite
+def warm_stream(draw):
+    """A few frames over a small id space (repeated ids, many ties in
+    next-use tile), a capacity in 0..N_IDS, and the frame before which
+    the simulator is exported and re-imported into a fresh one."""
+    frames = []
+    for _ in range(draw(st.integers(1, 5))):
+        ids = draw(st.lists(st.integers(0, N_IDS - 1), max_size=40))
+        steps = draw(
+            st.lists(st.integers(0, 1), min_size=len(ids), max_size=len(ids))
+        )
+        frames.append(
+            (np.asarray(ids, dtype=np.int64), np.cumsum(steps, dtype=np.int64))
+        )
+    capacity = draw(st.integers(0, N_IDS))
+    restart = draw(st.integers(0, len(frames)))
+    return frames, capacity, restart
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@given(stream=warm_stream())
+@settings(max_examples=80, deadline=None)
+def test_warm_stream_matches_per_access_loop(policy, stream):
+    """Frame by frame, the simulator's hits, carried hits and resident
+    order (what checkpoints carry) equal the per-access loop's, across
+    an export/import restart mid-stream."""
+    frames, capacity, restart = stream
+    sim = TemporalReuseSimulator(capacity, policy=policy)
+    oracle = LoopCache(capacity, policy)
+    for k, (trace, tiles) in enumerate(frames):
+        np.testing.assert_array_equal(
+            next_use_tiles(trace, tiles), loop_next_use_tiles(trace, tiles)
+        )
+        if k == restart:
+            fresh = TemporalReuseSimulator(capacity, policy=policy)
+            fresh.import_state(sim.export_state())
+            sim = fresh
+        sample = sim.observe_frame(trace, tiles)
+        hits, carried = oracle.observe(trace, tiles)
+        assert sample.report.hits == hits
+        assert sample.carried_hits == carried
+        assert sim.export_state().resident_ids == tuple(oracle.resident)

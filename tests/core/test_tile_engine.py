@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.irss import TileRowWorkload
-from repro.core.tile_engine import simulate_tile_engine
+from repro.core.row_engine import analytic_tile_cycles
+from repro.core.tile_engine import TileEngineReport, simulate_tile_engine
 from repro.errors import ValidationError
+from repro.gpu.calibration import GBUCalibration
 from repro.gpu.specs import GBUSpec
 
 
@@ -89,3 +91,88 @@ class TestSimulation:
         contig = simulate_tile_engine(workload, interleaved=False,
                                       cross_tile_overlap=False)
         assert inter.total_cycles <= contig.total_cycles
+
+
+def per_tile_engine(workload, spec, calib, interleaved, cross_tile_overlap):
+    """The frame model as a loop of one-tile estimates (the oracle for
+    the batched :func:`simulate_tile_engine`)."""
+    n_tiles = workload.n_tiles
+    tile_cycles = np.zeros(n_tiles)
+    gen_cycles = np.zeros(n_tiles)
+    max_pe = np.zeros(n_tiles)
+    useful = np.zeros(n_tiles)
+    pe_frame = np.zeros(spec.n_row_pes)
+    for t in range(n_tiles):
+        if workload.instance_setup[t] == 0:
+            continue
+        est = analytic_tile_cycles(
+            workload.row_fragments[t],
+            workload.row_segments[t],
+            int(workload.instance_setup[t]),
+            int(workload.instance_search[t]),
+            calib=calib,
+            n_pes=spec.n_row_pes,
+            interleaved=interleaved,
+        )
+        tile_cycles[t] = est.tile_cycles
+        gen_cycles[t] = est.generation_cycles
+        max_pe[t] = float(est.row_pe_cycles.max(initial=0.0))
+        useful[t] = est.useful_cycles
+        pe_frame += est.row_pe_cycles
+    report = TileEngineReport(
+        tile_cycles=tile_cycles,
+        generation_cycles=gen_cycles,
+        max_row_pe_cycles=max_pe,
+        useful_cycles=useful,
+        pe_frame_cycles=pe_frame,
+        cross_tile_overlap=cross_tile_overlap,
+        drain_cycles=calib.tile_drain_cycles,
+    )
+    object.__setattr__(report, "_n_pes", spec.n_row_pes)
+    return report
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n_pes", [1, 2, 8, 16])
+@pytest.mark.parametrize("interleaved", [True, False])
+@pytest.mark.parametrize("cross_tile_overlap", [True, False])
+def test_batched_model_equals_per_tile_loop(
+    seed, n_pes, interleaved, cross_tile_overlap
+):
+    """Bit-identical to the per-tile loop on random frames with idle
+    tiles.  Non-integer cycle costs and 1-16 Row PEs make every sum's
+    association order visible."""
+    rng = np.random.default_rng(seed)
+    spec = GBUSpec(n_row_pes=n_pes, rows_per_pe=16 // n_pes)
+    calib = GBUCalibration(
+        fragment_cycles=float(rng.uniform(0.1, 3.0)),
+        segment_issue_cycles=float(rng.uniform(0.0, 2.0)),
+        rowgen_gaussian_cycles=float(rng.uniform(0.1, 4.0)),
+        rowgen_search_cycles=float(rng.uniform(0.0, 2.0)),
+    )
+    workload = _workload(n_tiles=int(rng.integers(20, 200)), rng=rng)
+    workload.instance_setup[rng.random(workload.n_tiles) < 0.3] = 0
+    batched = simulate_tile_engine(
+        workload, spec, calib, interleaved, cross_tile_overlap
+    )
+    loop = per_tile_engine(workload, spec, calib, interleaved, cross_tile_overlap)
+    for name in (
+        "tile_cycles",
+        "generation_cycles",
+        "max_row_pe_cycles",
+        "useful_cycles",
+        "pe_frame_cycles",
+    ):
+        assert np.array_equal(getattr(batched, name), getattr(loop, name)), name
+    assert batched.total_cycles == loop.total_cycles
+    assert batched.utilization == loop.utilization
+
+
+def test_all_idle_frame_costs_nothing():
+    workload = _workload(n_tiles=5)
+    workload.instance_setup[:] = 0
+    report = simulate_tile_engine(workload)
+    assert not report.tile_cycles.any()
+    assert np.array_equal(report.pe_frame_cycles, np.zeros(8))
+    assert report.total_cycles == report.drain_cycles
+    assert report.utilization == 0.0

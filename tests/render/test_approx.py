@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.render.vectorized as vectorized
 from repro.config import TRANSMITTANCE_EPS
 from repro.core.irss import render_irss
 from repro.errors import ValidationError
@@ -42,13 +43,31 @@ from repro.gaussians import Camera, GaussianCloud, project
 
 
 #: sha256 of ``_scene(7, 600)`` rendered by the float32 IRSS datapath
-#: (image, transmittance, n_contrib bytes, then the stats tuple's repr).
+#: at a 2^16 IRSS chunk budget (image, transmittance, n_contrib bytes,
+#: then the stats tuple's repr).
 FLOAT32_IRSS_SHA256 = (
     "eed256a883ba43ebe436e7908cddbccb9be9d83c8622576b3302fb88211a8475"
 )
+#: The same digest of ``_scene(7, 1500, opacity_lo=0.005,
+#: opacity_hi=0.05)`` at the default IRSS chunk budget.
+FLOAT32_IRSS_DEFAULT_BUDGET_SHA256 = (
+    "c789ac312e7afe115e668f6f3c18d9a209515e2df80d97e630de7eef23d72b37"
+)
 
 
-def _scene(seed: int, n: int, width: int = 72, height: int = 56):
+def _float32_irss_digest(projected) -> str:
+    """sha256 of a float32 IRSS render's image, transmittance and
+    n_contrib bytes, then the stats tuple's repr."""
+    result = render_irss_vectorized(projected, dtype=np.float32)
+    digest = hashlib.sha256()
+    for array in (result.image, result.transmittance, result.n_contrib):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update(repr(dataclasses.astuple(result.stats)).encode())
+    return digest.hexdigest()
+
+
+def _scene(seed: int, n: int, width: int = 72, height: int = 56,
+           opacity_lo: float = 0.05, opacity_hi: float = 0.95):
     """A random projected scene (odd resolutions exercise clipped tiles)."""
     rng = np.random.default_rng(seed)
     cloud = GaussianCloud.random(n, rng, extent=0.6, scale_range=(0.03, 0.3))
@@ -56,7 +75,7 @@ def _scene(seed: int, n: int, width: int = 72, height: int = 56):
         means=cloud.means,
         scales=cloud.scales,
         quats=cloud.quats,
-        opacities=np.clip(cloud.opacities, 0.05, 0.95),
+        opacities=np.clip(cloud.opacities, opacity_lo, opacity_hi),
         sh=cloud.sh,
     )
     camera = Camera.look_at(
@@ -218,21 +237,30 @@ class TestQuality:
         np.testing.assert_array_equal(appr_irss.image, exact_irss.image)
         assert appr_irss.stats == exact_irss.stats
 
-    def test_float32_irss_render_is_pinned(self):
+    def test_float32_irss_render_is_pinned(self, monkeypatch, irss_chunks):
         """The approx datapath's float32 IRSS render, pinned by digest.
 
         Its log-cumsum transmittance scan rounds differently when the
         fragments of a depth chunk change, so this digest fails if the
-        tile or depth chunking moves.  The scene's deepest tile (501
-        instances) spans two depth chunks at the default budget.
+        tile or depth chunking moves.  It was recorded at a 2^16 IRSS
+        chunk budget, which this test keeps; there the scene's deepest
+        tile (501 instances) spans two depth chunks.
         """
+        monkeypatch.setattr(vectorized, "IRSS_CHUNK_FRAGMENT_BUDGET", 1 << 16)
         projected = _scene(7, 600)
-        result = render_irss_vectorized(projected, dtype=np.float32)
-        digest = hashlib.sha256()
-        for array in (result.image, result.transmittance, result.n_contrib):
-            digest.update(np.ascontiguousarray(array).tobytes())
-        digest.update(repr(dataclasses.astuple(result.stats)).encode())
-        assert digest.hexdigest() == FLOAT32_IRSS_SHA256
+        tile_chunks, depth_chunks = irss_chunks(projected, dtype=np.float32)
+        assert depth_chunks > tile_chunks
+        assert _float32_irss_digest(projected) == FLOAT32_IRSS_SHA256
+
+    def test_float32_irss_render_is_pinned_at_default_budget(self, irss_chunks):
+        """The same pin at the default IRSS chunk budget.  The scene is
+        deep (1,168 instances in its deepest tile) and faint enough that
+        most pixels stay above eps past the first depth chunk, so the
+        default budget still splits tiles in depth."""
+        projected = _scene(7, 1500, opacity_lo=0.005, opacity_hi=0.05)
+        tile_chunks, depth_chunks = irss_chunks(projected, dtype=np.float32)
+        assert depth_chunks > tile_chunks
+        assert _float32_irss_digest(projected) == FLOAT32_IRSS_DEFAULT_BUDGET_SHA256
 
     def test_default_tolerance_quality_band(self):
         """Quality-banded golden: at the default tolerance the default

@@ -176,11 +176,14 @@ class TestEdgeCases:
         assert_irss_exact(projected, fp16=True)
         assert_pfs_exact(projected)
 
-    def test_fp16_pixel_crosses_eps_in_second_depth_chunk(self, monkeypatch):
+    def test_fp16_pixel_crosses_eps_in_second_depth_chunk(
+        self, monkeypatch, irss_chunks
+    ):
         """Twenty stacked half-opaque Gaussians over one 16x16 tile: at
         a 2^11 budget a depth chunk holds 8 instances, and the centre
         pixel's fp16 transmittance first drops to eps in the second."""
         monkeypatch.setattr(vectorized, "CHUNK_FRAGMENT_BUDGET", 1 << 11)
+        monkeypatch.setattr(vectorized, "IRSS_CHUNK_FRAGMENT_BUDGET", 1 << 11)
         n = 20
         projected = _handmade(
             means2d=[[8.0, 8.0]] * n,
@@ -193,6 +196,8 @@ class TestEdgeCases:
         centre = (7, 7)
         assert ref.transmittance[centre] <= TRANSMITTANCE_EPS
         assert 8 < ref.n_contrib[centre] <= 16
+        # One tile chunk, scanned in depth chunks of 8, 8 and 4.
+        assert irss_chunks(projected, fp16=True) == (1, 3)
         assert_irss_exact(projected, fp16=True)
         assert_irss_exact(projected)
         assert_pfs_exact(projected)
@@ -204,15 +209,19 @@ class TestEdgeCases:
         cloud, _ = bundle.frame_cloud(0)
         assert_irss_exact(project(cloud, bundle.camera), fp16=True)
 
-    def test_depth_chunking_continuation_path(self, monkeypatch):
+    def test_depth_chunking_continuation_path(self, monkeypatch, irss_chunks):
         """A tiny fragment budget forces depth-chunked processing with
         transmittance carry and the add.at continuation accumulator."""
         monkeypatch.setattr(vectorized, "CHUNK_FRAGMENT_BUDGET", 1 << 10)
+        monkeypatch.setattr(vectorized, "IRSS_CHUNK_FRAGMENT_BUDGET", 1 << 10)
         projected = _scene(23, 150, width=40, height=24)
         lists = build_render_lists(projected)
         depths = lists.instances_per_tile().max()
         # The budget must actually split this scene's deepest tile.
         assert depths * 16 * 16 > (1 << 10)
+        for fp16 in (False, True):
+            tile_chunks, depth_chunks = irss_chunks(projected, lists, fp16=fp16)
+            assert depth_chunks > tile_chunks
         assert_pfs_exact(projected, lists)
         assert_irss_exact(projected, lists)
         assert_irss_exact(projected, lists, fp16=True)
