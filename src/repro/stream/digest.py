@@ -38,6 +38,15 @@ Design rules, in order of priority:
   calibration trajectory matches).  :func:`assert_trace_agreement`
   is the reusable checker; ``tests/stream/test_digest.py`` goes
   through it on every calibrated model.
+* **Sharing.** A session without a QoS controller, a content cache or
+  model jitter is a pure function of (model, frame index, incoming
+  cache counters), so its frames are served from a memo on the
+  :class:`WorkloadModelTable`: every such session at frame ``k`` gets
+  the *same* :class:`~repro.stream.pipeline.FrameRecord` object, and
+  every equal cache snapshot is one shared
+  :class:`~repro.core.reuse_cache.TemporalCacheState` — the Gaussian
+  Reuse Cache's move, applied to serving state.  Records and snapshots
+  are shared immutable values: callers must never mutate them.
 
 Known approximation: a mid-stream detail switch indexes the *new*
 rung's model at the current absolute frame index, so the temporal
@@ -81,6 +90,12 @@ from repro.stream.trajectory import CameraTrajectory
 
 #: Schema version of the serialized model table.
 MODEL_VERSION = 1
+
+#: Most frames one table's frame memo holds; the oldest entry is
+#: evicted first.  A fixed-detail workload needs one entry per (model,
+#: frame index) reached, so fleets of short sessions fit many times
+#: over, while a single unbounded session cannot grow the memo.
+FRAME_MEMO_CAP = 4096
 
 #: Declared per-frame ``sim_seconds`` relative tolerance of the digest
 #: pipeline against the full render, for trajectories of the same
@@ -230,11 +245,19 @@ class WorkloadModelTable:
     and a mode-mismatched model beats refusing to serve.  A scene or
     trajectory class that was never calibrated raises
     :class:`~repro.errors.ValidationError`.
+
+    The table also owns the frame memo of fixed-detail digest sessions
+    (see :meth:`DigestFrameStream.render_next`): at most
+    :data:`FRAME_MEMO_CAP` entries, cleared by :meth:`register`, and
+    never pickled — a table sent to a worker process arrives empty.
     """
 
     def __init__(self, models: list[WorkloadModel] | None = None) -> None:
         self._models: dict[tuple, WorkloadModel] = {}
         self._resolved: dict[tuple, tuple[WorkloadModel, float]] = {}
+        #: (lookup args, frame index, incoming cache counters) ->
+        #: (shared frame record, outgoing cache counters).
+        self._frames: dict[tuple, tuple[FrameRecord, tuple]] = {}
         #: Calibrated (scene, trajectory class) pairs: what any lookup
         #: can fall back within.
         self._classes: set[tuple[str, str]] = set()
@@ -248,10 +271,14 @@ class WorkloadModelTable:
     def models(self) -> list[WorkloadModel]:
         return list(self._models.values())
 
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_frames": {}}
+
     def register(self, model: WorkloadModel) -> None:
         self._models[model.key] = model
         self._classes.add((model.scene, model.trajectory))
         self._resolved.clear()
+        self._frames.clear()
 
     def require(self, scene: str, trajectory: str) -> None:
         """Raise :class:`ValidationError` unless some model covers the
@@ -420,6 +447,29 @@ def _resident_ids(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
 
+@functools.lru_cache(maxsize=FRAME_MEMO_CAP)
+def _cache_snapshot(
+    policy: str,
+    capacity_lines: int,
+    bytes_per_line: int,
+    resident_lines: int,
+    frames_observed: int,
+    cumulative_accesses: int,
+    cumulative_hits: int,
+) -> TemporalCacheState:
+    """One shared digest checkpoint snapshot per value tuple: sessions
+    of one model at one frame export equal states, so they share it."""
+    return TemporalCacheState(
+        policy=policy,
+        capacity_lines=capacity_lines,
+        bytes_per_line=bytes_per_line,
+        resident_ids=_resident_ids(resident_lines),
+        frames_observed=frames_observed,
+        cumulative_accesses=cumulative_accesses,
+        cumulative_hits=cumulative_hits,
+    )
+
+
 class _DigestCacheState:
     """Temporal-cache counters advanced from a model, not a trace.
 
@@ -446,6 +496,27 @@ class _DigestCacheState:
     @property
     def frames_observed(self) -> int:
         return self._frames_observed
+
+    @property
+    def counters(self) -> tuple[int, int, int, int]:
+        """Everything a modeled frame reads and advances: (frames
+        observed, cumulative accesses, cumulative hits, resident
+        lines)."""
+        return (
+            self._frames_observed,
+            self._cum_accesses,
+            self._cum_hits,
+            self._resident_lines,
+        )
+
+    @counters.setter
+    def counters(self, value: tuple[int, int, int, int]) -> None:
+        (
+            self._frames_observed,
+            self._cum_accesses,
+            self._cum_hits,
+            self._resident_lines,
+        ) = value
 
     def observe(
         self, accesses: int, hits: int, carried_hits: int
@@ -487,14 +558,14 @@ class _DigestCacheState:
     def export_state(self) -> TemporalCacheState:
         # Exports run once per rendered frame (checkpointing), and the
         # resident set is always a prefix of the line-id range.
-        return TemporalCacheState(
-            policy=self.policy,
-            capacity_lines=self.capacity_lines,
-            bytes_per_line=self.bytes_per_line,
-            resident_ids=_resident_ids(self._resident_lines),
-            frames_observed=self._frames_observed,
-            cumulative_accesses=self._cum_accesses,
-            cumulative_hits=self._cum_hits,
+        return _cache_snapshot(
+            self.policy,
+            self.capacity_lines,
+            self.bytes_per_line,
+            self._resident_lines,
+            self._frames_observed,
+            self._cum_accesses,
+            self._cum_hits,
         )
 
     def import_state(self, state: TemporalCacheState) -> None:
@@ -571,15 +642,14 @@ class DigestFrameStream:
         #: Content-cache key sequence (one entry per frame when a
         #: content cache is attached) — the fidelity-assertion trace.
         self.key_trace: list = []
+        # Without a controller the render mode ignores detail and
+        # shards, so it is resolved once, here.
+        self._mode = render_mode(self.config, controller, detail, detail, 1)
         # Fail fast (at session registration, not first tick) when the
         # table cannot serve this stream at all; also pins the cache
         # geometry the checkpoint state must round-trip through.
-        base, _ = models.lookup(
-            spec.name,
-            detail,
-            trajectory.kind,
-            render_mode(self.config, controller, detail, detail, 1),
-        )
+        lookup = (spec.name, detail, trajectory.kind, self._mode)
+        base, _ = models.lookup(*lookup)
         self.cache_state = _DigestCacheState(
             base.cache_policy, base.capacity_lines, base.bytes_per_line
         )
@@ -587,16 +657,18 @@ class DigestFrameStream:
         # digest computes bundle-identical frame clocks (and therefore
         # content keys) without ever building a bundle.
         self._n_eval_frames = base.n_eval_frames
-        self._jitter_salt = hashlib.sha256(
-            repr(
-                (
-                    spec.name,
-                    trajectory.kind,
-                    camera_fingerprint(trajectory.camera_at(0)),
-                    _detail_key(detail),
-                )
-            ).encode()
-        ).digest()
+        # Frame-memo key prefix, or None when this stream's frames
+        # depend on more than (model, frame, cache counters).  The
+        # detail is keyed as given (records carry it), so it must be a
+        # plain float: 1 and 1.0 are equal keys but pickle apart.
+        self._memo_prefix = (
+            lookup
+            if controller is None
+            and content is None
+            and type(detail) is float
+            and base.jitter == 0.0
+            else None
+        )
         self._active_detail = detail
         self._next_frame = 0
 
@@ -640,7 +712,35 @@ class DigestFrameStream:
     def render_next(self) -> FrameRecord:
         """Advance one frame from the model (same contract as the
         exact :meth:`~repro.stream.pipeline.FrameStream.render_next`,
-        minus the image)."""
+        minus the image).
+
+        A fixed-detail stream first asks its table's frame memo for
+        (model, frame, incoming cache counters); a miss models the
+        frame once and stores the record for every later session.
+        """
+        prefix = self._memo_prefix
+        if prefix is None or self._active_detail != self.detail:
+            return self._model_frame()
+        state = self.cache_state
+        key = (*prefix, self._next_frame, *state.counters)
+        memo = self.models._frames
+        served = memo.get(key)
+        if served is not None:
+            state.counters = served[1]
+            self._next_frame += 1
+            return served[0]
+        record = self._model_frame()
+        # A model registered after admission may carry jitter, which
+        # makes frames stream-specific: those are never shared.
+        if self.models.lookup(*prefix)[0].jitter == 0.0:
+            memo[key] = (record, state.counters)
+            if len(memo) > FRAME_MEMO_CAP:
+                del memo[next(iter(memo))]
+        return record
+
+    def _model_frame(self) -> FrameRecord:
+        """Model the next frame from the table: the digest's one
+        per-frame implementation, memoized or not."""
         k = self._next_frame
         detail = self._active_detail
         if self.controller is not None:
@@ -649,8 +749,12 @@ class DigestFrameStream:
                 self.load_detail(detail)
                 self.cache_state.flush_resident()
         shards = 1 if self.controller is None else self.controller.next_shards
-        mode = render_mode(
-            self.config, self.controller, self.detail, detail, shards
+        mode = (
+            self._mode
+            if self.controller is None
+            else render_mode(
+                self.config, self.controller, self.detail, detail, shards
+            )
         )
         model, scale = self.models.lookup(
             self.spec.name, detail, self.trajectory.kind, mode
@@ -732,6 +836,21 @@ class DigestFrameStream:
         if self.spec.app_type is AppType.STATIC:
             return 0
         return frame % self._n_eval_frames
+
+    @functools.cached_property
+    def _jitter_salt(self) -> bytes:
+        """Stream identity for :meth:`_jitter_unit`, built on first use
+        so jitter-free sessions never fingerprint a pose."""
+        return hashlib.sha256(
+            repr(
+                (
+                    self.spec.name,
+                    self.trajectory.kind,
+                    camera_fingerprint(self.trajectory.camera_at(0)),
+                    _detail_key(self.detail),
+                )
+            ).encode()
+        ).digest()
 
     def _jitter_unit(self, frame: int) -> float:
         """Deterministic per-frame factor in [-1, 1): counter-based

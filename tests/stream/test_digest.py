@@ -8,6 +8,9 @@ Hypothesis properties pin determinism and checkpoint replay).
 
 import dataclasses
 import functools
+import gc
+import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,7 @@ from repro.stream import (
     WorkloadModelTable,
     assert_trace_agreement,
     capture_checkpoint,
+    frame_evidence,
     restore_checkpoint,
     streaming_config,
     trace_agreement,
@@ -35,7 +39,7 @@ from repro.stream.content_cache import (
     ContentCacheConfig,
     SessionContentView,
 )
-from repro.stream.digest import WorkloadModel
+from repro.stream.digest import FRAME_MEMO_CAP, WorkloadModel
 from repro.stream.qos import FrameDeadline, QoSPolicy, QualityController
 from repro.stream.traffic import MIXES, SessionArrival, TrafficGenerator
 
@@ -283,6 +287,168 @@ def test_digest_cache_state_rejects_foreign_geometry():
         other.cache_state.import_state(
             dataclasses.replace(state, capacity_lines=state.capacity_lines + 1)
         )
+
+
+# ----------------------------------------------------------------------
+# Frame memo: one shared record per (model, frame, cache counters)
+# ----------------------------------------------------------------------
+def _fresh(table=None):
+    """The calibrated models in a new table, whose frame memo is empty."""
+    return WorkloadModelTable((table or _table()).models)
+
+
+def _memo_stream(table, kind, detail, trajectory):
+    controller = content = None
+    if kind == "controller":
+        controller = QualityController(
+            FrameDeadline(5000.0), None, nominal_detail=detail
+        )
+    elif kind == "content":
+        config = ContentCacheConfig()
+        content = SessionContentView(
+            config, CacheTier("session", config.session_bytes)
+        )
+    return DigestFrameStream(
+        CATALOG["bicycle"],
+        trajectory,
+        table,
+        detail=detail,
+        controller=controller,
+        content=content,
+    )
+
+
+def _serve_split(table, kind, detail, start, split, total=10):
+    """Serve frames ``start..total-1`` from a cursor seeked to ``start``
+    (cache counters cold), moving onto a restored stream before frame
+    ``split``.  Each frame yields its record, its evidence JSON and
+    its pickled checkpoint."""
+    trajectory = _trajectory(n_frames=total)
+    stream = _memo_stream(table, kind, detail, trajectory)
+    stream.seek(start)
+    served = []
+    for k in range(start, total):
+        if k == split:
+            checkpoint = capture_checkpoint("s", stream)
+            stream = _memo_stream(table, kind, detail, trajectory)
+            restore_checkpoint(stream, checkpoint)
+        record = stream.render_next()
+        served.append(
+            (
+                record,
+                json.dumps(frame_evidence(record), sort_keys=True),
+                pickle.dumps(capture_checkpoint("s", stream)),
+            )
+        )
+    return served
+
+
+@pytest.mark.property
+@pytest.mark.parametrize("kind", ["fixed", "jitter", "controller", "content"])
+@settings(max_examples=20, deadline=None)
+@given(
+    detail=st.sampled_from([DETAIL, DETAIL / 2]),
+    start=st.integers(0, 3),
+    split=st.integers(1, 9),
+)
+def test_memo_served_frames_equal_fresh_table_frames(
+    kind, detail, start, split
+):
+    """The first pass through a fresh table models every frame; later
+    passes through a table warmed by other sessions (a from-zero one,
+    then this one) must serve identical records, evidence and
+    checkpoint bytes, on exact and scaled rungs alike.  Only the fixed
+    kind may use the memo."""
+    base = _table().with_jitter(0.2) if kind == "jitter" else _table()
+    reference = _serve_split(_fresh(base), kind, detail, start, split)
+    table = _fresh(base)
+    _serve_split(table, kind, detail, 0, None)
+    assert _serve_split(table, kind, detail, start, split) == reference
+    assert _serve_split(table, kind, detail, start, split) == reference
+    assert bool(table._frames) == (kind == "fixed")
+
+
+def test_frame_memo_is_bounded_and_never_pickled():
+    table = _fresh()
+    n = FRAME_MEMO_CAP + 50
+    DigestFrameStream(
+        CATALOG["bicycle"], _trajectory(n_frames=n), table, detail=DETAIL
+    ).run(n)
+    assert len(table._frames) == FRAME_MEMO_CAP
+    clone = pickle.loads(pickle.dumps(table))
+    assert clone._frames == {}
+    assert clone.to_json() == table.to_json()
+    assert len(table._frames) == FRAME_MEMO_CAP
+
+
+def test_register_clears_the_frame_memo():
+    table = _fresh()
+    stream = DigestFrameStream(
+        CATALOG["bicycle"], _trajectory(), table, detail=DETAIL
+    )
+    stream.run(3)
+    model = table.models[0]
+    slower = dataclasses.replace(
+        model, frame_seconds=tuple(2 * s for s in model.frame_seconds)
+    )
+    table.register(slower)
+    assert not table._frames
+    assert stream.render_next().sim_seconds == slower.frame_seconds[3]
+    assert table._frames
+    # A model registered with jitter makes frames stream-specific:
+    # they are modeled from it and never enter the memo.
+    table.register(dataclasses.replace(slower, jitter=0.2))
+    assert stream.render_next().sim_seconds != slower.frame_seconds[4]
+    assert not table._frames
+
+
+def test_jitter_free_admission_fingerprints_no_pose(monkeypatch):
+    from repro.stream import digest
+
+    calls = []
+    fingerprint = digest.camera_fingerprint
+
+    def counted(camera):
+        calls.append(camera)
+        return fingerprint(camera)
+
+    monkeypatch.setattr(digest, "camera_fingerprint", counted)
+    with StreamServer(workers=0, models=_table()) as server:
+        server.serve(_digest_sessions(n=2))
+    assert calls == []
+    DigestFrameStream(
+        CATALOG["bicycle"], _trajectory(), _table().with_jitter(0.2),
+        detail=DETAIL,
+    ).run(3)
+    assert len(calls) == 1
+
+
+def test_served_digest_frames_retain_flat_object_count():
+    """Counted, not timed: what a serve of fixed-detail sessions leaves
+    alive (results plus the server's streams) is per-session state, so
+    GC-tracked objects per served frame stay flat from N to 4N
+    sessions.  The bound sits below the 4 objects (record, cache
+    sample, cache report, binning stats) a per-frame record would
+    keep alive."""
+    table = _fresh()
+
+    def retained_per_frame(n):
+        sessions = _digest_sessions(n=n, n_frames=6)
+        gc.collect()
+        before = len(gc.get_objects())
+        with StreamServer(workers=0, models=table) as server:
+            results = server.serve(sessions)
+            retained = len(gc.get_objects()) - before
+        return retained / sum(r.report.n_frames for r in results)
+
+    gc.disable()
+    try:
+        retained_per_frame(10)  # fills the frame memo
+        small, large = retained_per_frame(50), retained_per_frame(200)
+    finally:
+        gc.enable()
+    assert small < 2.5 and large < 2.5
+    assert abs(small - large) < 0.1
 
 
 # ----------------------------------------------------------------------
