@@ -64,13 +64,9 @@ class GBUConfig:
         point); off inserts a per-tile barrier (ablation).
     backend:
         Rendering engine used for the functional IRSS render
-        ("reference", "vectorized", "approx", ...).  The exact
-        backends are pixel-identical, so there the choice only affects
-        simulation wall-clock; "approx" additionally applies the
-        process-wide :class:`~repro.render.approx.ApproxPolicy`
-        (measured-quality approximation), which shrinks both the
-        blending workload and the feature traffic the cache model
-        sees.  ``None`` uses the process default.
+        ("reference", "vectorized", ...).  Every backend is
+        pixel-identical, so the choice only affects simulation
+        wall-clock.  ``None`` uses the process default.
     shards:
         Number of parallel tile engines the frame's tile grid is
         sharded across.  The functional image is unchanged (tile
@@ -283,15 +279,7 @@ class GBUDevice:
         )
 
         # --- Feature traffic through the reuse cache ---
-        # The approx backend culls per-tile membership before blending,
-        # so the feature stream the cache sees must be the culled one:
-        # approximation reduces memory traffic, not just compute.
-        trace_lists = lists
-        if self.config.resolved_backend_name() == "approx":
-            from repro.render.approx import cull_render_lists
-
-            trace_lists, _ = cull_render_lists(projected, trace_lists)
-        trace, tile_of_access = reuse_distance_table(trace_lists)
+        trace, tile_of_access = reuse_distance_table(lists)
         cache_sample: FrameCacheSample | None = None
         if cache_state is not None:
             stable = trace if feature_ids is None else feature_ids[trace]

@@ -154,19 +154,5 @@ def _register_builtin_backends() -> None:
         )
     )
 
-    from repro.render.approx import render_irss_approx, render_pfs_approx
-
-    register_backend(
-        RasterizerBackend(
-            name="approx",
-            render_pfs=render_pfs_approx,
-            render_irss=render_irss_approx,
-            description=(
-                "contribution-aware culling + aggressive early termination "
-                "(measured-quality approximate mode)"
-            ),
-        )
-    )
-
 
 _register_builtin_backends()

@@ -15,29 +15,14 @@ Shards are contiguous tile-id ranges balanced by instance count
 (:func:`shard_tile_ranges`), so one heavy frame splits into
 near-equal slices of blending work instead of equal slices of screen.
 
-Two execution modes:
-
-* ``processes=False`` (default) renders the shards sequentially in
-  the calling process — the deterministic mode the serving stack uses
-  (its latency benefit comes from the GBU timing model treating the
-  shards as parallel tile engines, see
-  :meth:`repro.core.gbu.GBUDevice.render`);
-* ``processes=True`` fans the shards out over a process pool, so one
-  heavy frame can use the whole machine instead of one worker.  The
-  pool is shared per (process, shard count) and reused across frames;
-  ``benchmarks/bench_approx_quality.py`` records the wall-clock
-  scaling curve.
-
-The approx backend composes: its per-tile culling is tile-local, so
-sharded approx renders are also shard-count-invariant.  The active
-:class:`~repro.render.approx.ApproxPolicy` is shipped to pool workers
-explicitly (module globals do not cross process boundaries).
+The shards render sequentially in the calling process.  The serving
+stack's latency benefit comes from the GBU timing model treating the
+shards as parallel tile engines (see
+:meth:`repro.core.gbu.GBUDevice.render`), not from host parallelism.
 """
 
 from __future__ import annotations
 
-import atexit
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -172,49 +157,16 @@ def _render_shard(
     transform: IRSSTransform | None,
     fp16: bool,
     backend: str | None,
-    approx_policy,
 ):
-    """Render one shard (top-level so process pools can pickle it)."""
-    from repro.render.approx import set_approx_policy
+    """Render one shard with the resolved backend."""
     from repro.render.backends import resolve_backend
 
-    previous = (
-        set_approx_policy(approx_policy) if approx_policy is not None else None
+    engine = resolve_backend(backend)
+    if mode == "pfs":
+        return engine.render_pfs(projected, lists=sub, settings=settings)
+    return engine.render_irss(
+        projected, lists=sub, settings=settings, transform=transform, fp16=fp16
     )
-    try:
-        engine = resolve_backend(backend)
-        if mode == "pfs":
-            return engine.render_pfs(projected, lists=sub, settings=settings)
-        return engine.render_irss(
-            projected, lists=sub, settings=settings,
-            transform=transform, fp16=fp16,
-        )
-    finally:
-        # Restore (not clear) the prior override: the in-process mode
-        # runs in the caller's interpreter, where clearing would erase
-        # the caller's own `use_approx_policy` scope for every render
-        # after the first sharded frame.
-        if approx_policy is not None:
-            set_approx_policy(previous)
-
-
-_POOLS: dict[int, ProcessPoolExecutor] = {}
-
-
-def _shared_pool(n_workers: int) -> ProcessPoolExecutor:
-    """A per-process pool reused across frames (spawn cost amortized)."""
-    pool = _POOLS.get(n_workers)
-    if pool is None:
-        pool = ProcessPoolExecutor(max_workers=n_workers)
-        _POOLS[n_workers] = pool
-    return pool
-
-
-@atexit.register
-def _shutdown_pools() -> None:  # pragma: no cover - interpreter teardown
-    for pool in _POOLS.values():
-        pool.shutdown(wait=False, cancel_futures=True)
-    _POOLS.clear()
 
 
 def _run_shards(
@@ -226,24 +178,15 @@ def _run_shards(
     fp16: bool,
     n_shards: int,
     backend: str | None,
-    processes: bool,
 ) -> tuple[list[np.ndarray], list]:
-    from repro.render.approx import _policy_override
-
     shard_tiles = shard_tile_ranges(lists, n_shards)
-    subs = [sub_render_lists(lists, tiles) for tiles in shard_tiles]
-    args = [
-        (mode, projected, sub, settings, transform, fp16, backend,
-         _policy_override)
-        for sub in subs
+    results = [
+        _render_shard(
+            mode, projected, sub_render_lists(lists, tiles), settings,
+            transform, fp16, backend,
+        )
+        for tiles in shard_tiles
     ]
-    if processes:
-        futures = [
-            _shared_pool(n_shards).submit(_render_shard, *a) for a in args
-        ]
-        results = [f.result() for f in futures]
-    else:
-        results = [_render_shard(*a) for a in args]
     return shard_tiles, results
 
 
@@ -253,18 +196,14 @@ def render_pfs_sharded(
     settings: RenderSettings = DEFAULT_SETTINGS,
     n_shards: int = 2,
     backend: str | None = None,
-    processes: bool = False,
 ) -> RenderResult:
     """PFS render split over ``n_shards`` tile shards, stitched exactly."""
     if lists is None:
         lists = build_render_lists(projected)
     if n_shards == 1:
-        return _render_shard(
-            "pfs", projected, lists, settings, None, False, backend, None
-        )
+        return _render_shard("pfs", projected, lists, settings, None, False, backend)
     shard_tiles, results = _run_shards(
-        "pfs", projected, lists, settings, None, False,
-        n_shards, backend, processes,
+        "pfs", projected, lists, settings, None, False, n_shards, backend
     )
     return merge_pfs_shards(lists.grid, shard_tiles, results)
 
@@ -277,18 +216,16 @@ def render_irss_sharded(
     fp16: bool = False,
     n_shards: int = 2,
     backend: str | None = None,
-    processes: bool = False,
 ) -> IRSSRenderResult:
     """IRSS render split over ``n_shards`` tile shards, stitched exactly."""
     if lists is None:
         lists = build_render_lists(projected)
     if n_shards == 1:
         return _render_shard(
-            "irss", projected, lists, settings, transform, fp16, backend, None
+            "irss", projected, lists, settings, transform, fp16, backend
         )
     shard_tiles, results = _run_shards(
-        "irss", projected, lists, settings, transform, fp16,
-        n_shards, backend, processes,
+        "irss", projected, lists, settings, transform, fp16, n_shards, backend
     )
     return merge_irss_shards(lists.grid, shard_tiles, results)
 
@@ -302,23 +239,14 @@ class ShardedRenderer:
         Number of tile shards per frame (1 = plain dispatch).
     backend:
         Backend name each shard renders with (``None`` = process
-        default); any registered backend works, including ``approx``.
-    processes:
-        Fan shards out over a shared process pool (wall-clock
-        parallelism) instead of rendering them sequentially.
+        default); any registered backend works.
     """
 
-    def __init__(
-        self,
-        n_shards: int,
-        backend: str | None = None,
-        processes: bool = False,
-    ) -> None:
+    def __init__(self, n_shards: int, backend: str | None = None) -> None:
         if n_shards < 1:
             raise ValidationError("shard count must be at least 1")
         self.n_shards = int(n_shards)
         self.backend = backend
-        self.processes = processes
 
     def render_pfs(
         self,
@@ -329,7 +257,6 @@ class ShardedRenderer:
         return render_pfs_sharded(
             projected, lists, settings=settings,
             n_shards=self.n_shards, backend=self.backend,
-            processes=self.processes,
         )
 
     def render_irss(
@@ -343,5 +270,4 @@ class ShardedRenderer:
         return render_irss_sharded(
             projected, lists, settings=settings, transform=transform,
             fp16=fp16, n_shards=self.n_shards, backend=self.backend,
-            processes=self.processes,
         )

@@ -46,14 +46,6 @@ images, transmittance, contributor counts, and identical
 ``RenderStats`` / ``IRSSStats`` / ``TileRowWorkload`` counters
 (including early-termination semantics and the fp16 Row-PE datapath).
 This is property-tested in ``tests/render/test_backend_parity.py``.
-
-Both renderers also take a ``dtype`` parameter (default ``float64``,
-the exact datapath).  ``float32`` halves the working-set bandwidth at
-~1e-7 relative error; the approx backend uses it, where that error is
-negligible against its culling error.  Its transmittance is a
-segmented log-cumsum over the same fragments and its colors a float64
-``np.bincount`` per chunk.  The exactness guarantees above apply to
-the default dtype and the fp16 datapath only.
 """
 
 from __future__ import annotations
@@ -93,8 +85,8 @@ CHUNK_FRAGMENT_BUDGET = 1 << 16
 #: (detail 1.0, fp16 datapath, one AMD EPYC core, numpy 2.4) a frame
 #: blended in 25.1 ms at 2^16, 22.0 ms at 2^17, 20.9 ms at 2^18,
 #: 21.3 ms at 2^19, 24.4 ms at 2^20 and 33.4 ms at 2^22; outputs were
-#: identical at every budget.  Every IRSS datapath (fp64, fp16 and the
-#: float32 approx) uses it.
+#: identical at every budget.  Both IRSS datapaths (fp64 and fp16) use
+#: it.
 IRSS_CHUNK_FRAGMENT_BUDGET = 1 << 18
 
 
@@ -221,29 +213,6 @@ def _exact_scan(
     return prod[rank, run], prod[rank + 1, run], last
 
 
-def _log_scan(
-    t_in: np.ndarray, key: np.ndarray, alpha: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduced-precision per-pixel transmittance over sorted fragments.
-
-    The approx counterpart of :func:`_exact_scan`, with the same
-    outputs: per-pixel exclusive prefix products are a segmented
-    log-cumsum over the fragment array.  The small (log/exp)
-    rounding is why this path is reserved for the approx datapath.
-    """
-    la = 1.0 - alpha  # alpha is capped at alpha_max < 1, so log is safe
-    # float64 keeps the cross-segment rounding of the shared cumsum far
-    # below the output's float32 quantum, so sharded approx renders stay
-    # equal to unsharded ones to within last-ulp noise.
-    logs = np.log(la, dtype=np.float64)
-    excl = np.cumsum(logs)
-    excl -= logs  # exclusive prefix: product of earlier fragments
-    first, last = _pixel_runs(key)
-    run = np.cumsum(first) - 1
-    t_before = t_in[key] * np.exp(excl - excl[first][run])
-    return t_before, t_before * la, last
-
-
 def _chunk_transmittance(
     tile_t: np.ndarray,
     key: np.ndarray,
@@ -251,14 +220,13 @@ def _chunk_transmittance(
     alpha: np.ndarray,
     d_span: int,
     eps: float,
-    exact: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Transmittance state of one depth chunk of pixel-sorted fragments.
 
     ``key`` is each fragment's flat pixel index within the tile chunk
-    and ``depth`` its depth index within the chunk.  ``exact`` selects
-    the in-order scan (fp64 and the fp16 Row-PE datapath, in the
-    accumulator dtype) over the approx log-cumsum.
+    and ``depth`` its depth index within the chunk.  The scan runs in
+    order in the accumulator dtype (fp64, or fp16 for the Row-PE
+    datapath).
 
     Early termination follows from each pixel's ``eps`` crossing: a
     pixel is active at every depth up to the fragment whose product
@@ -273,11 +241,8 @@ def _chunk_transmittance(
     active (-1 if none); and the frozen post-chunk transmittance.
     """
     t_in = tile_t.reshape(-1)
-    if exact:
-        factors = (1.0 - alpha).astype(t_in.dtype)
-        t_before, t_after, last = _exact_scan(t_in, key, factors)
-    else:
-        t_before, t_after, last = _log_scan(t_in, key, alpha)
+    factors = (1.0 - alpha).astype(t_in.dtype)
+    t_before, t_after, last = _exact_scan(t_in, key, factors)
     active = t_before > eps
 
     entered = t_in > eps
@@ -311,20 +276,16 @@ def _blend_fragments(
     alpha: np.ndarray,
     colors: np.ndarray,
     gauss: np.ndarray,
-    ordered: bool,
 ) -> int:
     """Blend the active pixel-sorted fragments into the tiles, in place.
 
     ``colors`` is channel-major ``(3, M)`` and ``gauss`` holds each
     fragment's Gaussian.  Inactive fragments would add exactly zero and
     are skipped.  The per-pixel color sum is the one order-sensitive
-    float reduction.  ``ordered`` (the exact datapaths) adds with
-    unbuffered ``np.add.at`` in fragment order, which is depth order
-    within each pixel — the reference sequence, fp16 rounding of the
-    Row-PE accumulator included.  Otherwise (approx) one float64
-    ``np.bincount`` per channel sums the chunk front to back before a
-    single add into the accumulator.  Returns the number of blended
-    fragments.
+    float reduction: unbuffered ``np.add.at`` adds in fragment order,
+    which is depth order within each pixel — the reference sequence,
+    fp16 rounding of the Row-PE accumulator included.  Returns the
+    number of blended fragments.
     """
     key = key[blend_at]
     gauss = gauss[blend_at]
@@ -332,14 +293,9 @@ def _blend_fragments(
     flat_rgb = tile_rgb.reshape(-1, 3)
     if flat_rgb.dtype == np.float16:
         weight = weight.astype(np.float16).astype(np.float64)
-    for ch in range(3):
+    for ch in range(3):  # one 1-D add.at per channel takes numpy's fast path
         contrib = weight * colors[ch][gauss]
-        if ordered:  # one 1-D add.at per channel takes numpy's fast path
-            np.add.at(flat_rgb[:, ch], key, contrib.astype(flat_rgb.dtype))
-        else:
-            flat_rgb[:, ch] += np.bincount(
-                key, weights=contrib, minlength=tile_n.size
-            ).astype(flat_rgb.dtype)
+        np.add.at(flat_rgb[:, ch], key, contrib.astype(flat_rgb.dtype))
     tile_n += (
         np.bincount(key, minlength=tile_n.size).reshape(tile_n.shape).astype(np.int32)
     )
@@ -353,13 +309,8 @@ def render_pfs_vectorized(
     projected: Projected2D,
     lists: RenderLists | None = None,
     settings: RenderSettings = DEFAULT_SETTINGS,
-    dtype: type = np.float64,
 ) -> RenderResult:
-    """Vectorized PFS rasterizer — pixel-exact vs. ``render_reference``.
-
-    ``dtype`` selects the brick / accumulator precision; the pixel-exact
-    guarantee holds for the default ``float64`` only.
-    """
+    """Vectorized PFS rasterizer — pixel-exact vs. ``render_reference``."""
     if lists is None:
         lists = build_render_lists(projected)
     grid = lists.grid
@@ -367,18 +318,17 @@ def render_pfs_vectorized(
     if (grid.width, grid.height) != (width, height):
         raise RenderError("tile grid does not match projection resolution")
 
-    image = np.zeros((height, width, 3), dtype=dtype)
-    transmittance = np.ones((height, width), dtype=dtype)
+    image = np.zeros((height, width, 3), dtype=np.float64)
+    transmittance = np.ones((height, width), dtype=np.float64)
     n_contrib = np.zeros((height, width), dtype=np.int32)
     stats = RenderStats(pixels=width * height, instances=lists.n_instances)
 
     eps = settings.transmittance_eps
-    conics = projected.conics.astype(dtype, copy=False)
-    means2d = projected.means2d.astype(dtype, copy=False)
-    opacities = projected.opacities.astype(dtype, copy=False)
-    thresholds = projected.thresholds.astype(dtype, copy=False)
-    colors = np.ascontiguousarray(projected.colors.T, dtype=dtype)  # (3, M)
-    exact = dtype is np.float64
+    conics = projected.conics.astype(np.float64, copy=False)
+    means2d = projected.means2d.astype(np.float64, copy=False)
+    opacities = projected.opacities.astype(np.float64, copy=False)
+    thresholds = projected.thresholds.astype(np.float64, copy=False)
+    colors = np.ascontiguousarray(projected.colors.T, dtype=np.float64)  # (3, M)
 
     for batch in build_tile_batches(lists):
         rows, cols = batch.rows, batch.cols
@@ -391,11 +341,11 @@ def render_pfs_vectorized(
             px = (
                 x0[:, None, None, None]
                 + np.arange(cols, dtype=np.int64)[None, None, :, None]
-            ).astype(dtype) + dtype(0.5)  # (T, 1, cols, 1)
+            ) + 0.5  # (T, 1, cols, 1)
             py = (
                 y0[:, None, None, None]
                 + np.arange(rows, dtype=np.int64)[None, :, None, None]
-            ).astype(dtype) + dtype(0.5)  # (T, rows, 1, 1)
+            ) + 0.5  # (T, rows, 1, 1)
             yy = y0[:, None, None] + np.arange(rows)[None, :, None]
             xx = x0[:, None, None] + np.arange(cols)[None, None, :]
             tile_t = transmittance[yy, xx]  # (T, rows, cols)
@@ -437,7 +387,7 @@ def render_pfs_vectorized(
                 # sorted by pixel, depth-ordered within each pixel.
                 key = (ti * rows + ri) * cols + ci
                 t_before, blend_at, n_active, _, tile_t = _chunk_transmittance(
-                    tile_t, key, di, alpha, d1 - d0, eps, exact
+                    tile_t, key, di, alpha, d1 - d0, eps
                 )
                 n_active *= valid
                 shaded = int(n_active.sum())
@@ -446,8 +396,7 @@ def render_pfs_vectorized(
                 stats.eq7_flops += shaded * FLOPS.pfs_flops_per_fragment
 
                 blended = _blend_fragments(
-                    tile_rgb, tile_n, key, blend_at, t_before, alpha,
-                    colors, g[ti, di], ordered=exact,
+                    tile_rgb, tile_n, key, blend_at, t_before, alpha, colors, g[ti, di]
                 )
                 stats.fragments_significant += blended
                 # Whole-chunk early termination: once every pixel of the
@@ -462,8 +411,6 @@ def render_pfs_vectorized(
             n_contrib[yy, xx] = tile_n
 
     background = settings.background_array()
-    image = image.astype(np.float64, copy=False)
-    transmittance = transmittance.astype(np.float64, copy=False)
     image += transmittance[:, :, None] * background[None, None, :]
     return RenderResult(
         image=image, transmittance=transmittance, n_contrib=n_contrib, stats=stats
@@ -474,22 +421,20 @@ def render_pfs_vectorized(
 # IRSS dataflow, vectorized
 # ----------------------------------------------------------------------
 class _CastFeatures:
-    """Per-Gaussian feature record cast once to the compute dtype.
+    """Per-Gaussian feature record cast once to float64.
 
-    The fp64 and reduced-precision datapaths: same attribute layout as
-    ``_Fp16Features`` so the gather code below is shared.
+    The fp64 datapath: same attribute layout as ``_Fp16Features`` so the
+    gather code below is shared.
     """
 
-    def __init__(
-        self, projected: Projected2D, transform: IRSSTransform, dtype: type
-    ) -> None:
-        self.u00 = transform.u00.astype(dtype, copy=False)
-        self.u01 = transform.u01.astype(dtype, copy=False)
-        self.u11 = transform.u11.astype(dtype, copy=False)
-        self.thresholds = transform.thresholds.astype(dtype, copy=False)
-        self.colors = projected.colors.astype(dtype, copy=False)
-        self.opacities = projected.opacities.astype(dtype, copy=False)
-        self.means2d = transform.means2d.astype(dtype, copy=False)
+    def __init__(self, projected: Projected2D, transform: IRSSTransform) -> None:
+        self.u00 = transform.u00.astype(np.float64, copy=False)
+        self.u01 = transform.u01.astype(np.float64, copy=False)
+        self.u11 = transform.u11.astype(np.float64, copy=False)
+        self.thresholds = transform.thresholds.astype(np.float64, copy=False)
+        self.colors = projected.colors.astype(np.float64, copy=False)
+        self.opacities = projected.opacities.astype(np.float64, copy=False)
+        self.means2d = transform.means2d.astype(np.float64, copy=False)
 
 
 def _segment_candidates(
@@ -517,14 +462,11 @@ def render_irss_vectorized(
     settings: RenderSettings = DEFAULT_SETTINGS,
     transform: IRSSTransform | None = None,
     fp16: bool = False,
-    dtype: type = np.float64,
 ) -> IRSSRenderResult:
     """Vectorized IRSS rasterizer — pixel-exact vs. ``render_irss``.
 
-    ``dtype`` selects the geometry / accumulator precision; the
-    pixel-exact guarantee holds for the default ``float64`` and for
-    ``fp16`` (the Row-PE datapath), which takes precedence over
-    ``dtype``.
+    ``fp16`` selects the GBU Row-PE datapath (fp16 features and
+    accumulator); geometry stays float64 either way.
     """
     if lists is None:
         lists = build_render_lists(projected)
@@ -537,7 +479,7 @@ def render_irss_vectorized(
     if (grid.width, grid.height) != (width, height):
         raise RenderError("tile grid does not match projection resolution")
 
-    acc_dtype = np.float16 if fp16 else dtype
+    acc_dtype = np.float16 if fp16 else np.float64
     image = np.zeros((height, width, 3), dtype=acc_dtype)
     transmittance = np.ones((height, width), dtype=acc_dtype)
     n_contrib = np.zeros((height, width), dtype=np.int32)
@@ -556,12 +498,8 @@ def render_irss_vectorized(
     if fp16:
         features = _Fp16Features(projected, transform)
     else:
-        features = _CastFeatures(projected, transform, dtype)
-    # fp16 and fp64 share the exact transmittance scan; the float32
-    # approx datapath keeps the log-cumsum scan.
-    exact = fp16 or dtype is np.float64
+        features = _CastFeatures(projected, transform)
     colors = np.ascontiguousarray(features.colors.T)  # channel-major gathers
-    geo_dtype = np.float64 if fp16 else dtype
     eps = settings.transmittance_eps
 
     for batch in build_tile_batches(lists):
@@ -576,7 +514,7 @@ def render_irss_vectorized(
             n_tiles = t1 - t0
             row_pix_y = (
                 y0[:, None] + np.arange(rows, dtype=np.int64)[None, :]
-            ).astype(geo_dtype) + geo_dtype(0.5)  # (T, rows)
+            ) + 0.5  # (T, rows)
             yy = y0[:, None, None] + np.arange(rows)[None, :, None]
             xx = x0[:, None, None] + np.arange(cols)[None, None, :]
             tile_t = transmittance[yy, xx]
@@ -601,9 +539,7 @@ def render_irss_vectorized(
                 # Per-row transformed coordinates of the leftmost pixel
                 # center (all geometry is transmittance-independent).
                 # Row-level arrays are (T, rows, D); depth stays last.
-                dx_pix = (
-                    x0[:, None].astype(geo_dtype) + geo_dtype(0.5) - mean[:, :, 0]
-                )  # (T, D)
+                dx_pix = x0[:, None] + 0.5 - mean[:, :, 0]  # (T, D)
                 dy_pix = row_pix_y[:, :, None] - mean[:, :, 1][:, None, :]
                 x_start = (
                     u00[:, None, :] * dx_pix[:, None, :] + u01[:, None, :] * dy_pix
@@ -641,7 +577,7 @@ def render_irss_vectorized(
                 seg, cand, col = _segment_candidates(nonempty, c0, c1)
                 seg_row, seg_depth = np.divmod(seg, d_span)  # row = t*rows + r
                 seg_inst = seg_row // rows * d_span + seg_depth  # flat (t, d)
-                xpp = x_start.reshape(-1)[seg][cand] + col.astype(geo_dtype) * (
+                xpp = x_start.reshape(-1)[seg][cand] + col * (
                     u00.reshape(-1)[seg_inst][cand]
                 )
                 if fp16:
@@ -665,7 +601,7 @@ def render_irss_vectorized(
                 alpha = np.minimum(alpha, settings.alpha_max)
 
                 t_before, blend_at, n_live, row_limit, tile_t = _chunk_transmittance(
-                    tile_t, key, frag_depth, alpha, d_span, eps, exact
+                    tile_t, key, frag_depth, alpha, d_span, eps
                 )
                 row_active = (
                     row_limit[:, :, None]
@@ -724,8 +660,7 @@ def render_irss_vectorized(
                 workload.instance_max_run[tids] += seg_len.max(axis=1).sum(axis=1)
 
                 blended = _blend_fragments(
-                    tile_rgb, tile_n, key, blend_at, t_before, alpha,
-                    colors, gauss, ordered=exact,
+                    tile_rgb, tile_n, key, blend_at, t_before, alpha, colors, gauss
                 )
                 stats.fragments_blended += blended
                 # Exact whole-chunk early termination (see the PFS loop).

@@ -20,14 +20,12 @@ import asyncio
 import contextlib
 import json
 import math
-import os
 import signal
 import sys
 from dataclasses import asdict, replace
 
 from repro.core.reuse_cache import POLICIES
 from repro.errors import ValidationError
-from repro.render.approx import APPROX_TOLERANCE_ENV_VAR
 from repro.render.backends import get_backend
 from repro.scenes.catalog import CATALOG
 from repro.stream.content_cache import ContentCacheConfig, economics_to_dict
@@ -40,8 +38,6 @@ from repro.stream.server import SESSION_FIELD_RULES, StreamServer, StreamSession
 from repro.stream.traffic import MIXES, PROFILES, RateProfile, TrafficGenerator
 from repro.stream.trajectory import TRAJECTORY_KINDS as TRAJECTORIES, CameraTrajectory
 from repro.tables import format_table
-
-RENDER_MODES = ("exact", "approx")
 
 
 # ----------------------------------------------------------------------
@@ -179,21 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(QOS_MODES),
         help="with --target-fps: 'adaptive' closes the loop on detail, "
         "'fixed' only records deadline hits/misses (default: adaptive)",
-    )
-    parser.add_argument(
-        "--render-mode",
-        default="exact",
-        choices=RENDER_MODES,
-        help="'exact' renders with --backend; 'approx' renders with the "
-        "contribution-aware approximate backend (measured-quality, see "
-        "BENCH_approx.json) (default: exact)",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        metavar="T",
-        help="approx-mode quality tolerance in [0, 1]; only valid with "
-        "--render-mode approx (default: the backend's built-in default)",
     )
     parser.add_argument(
         "--shards",
@@ -416,7 +397,6 @@ RULES = (
     # the registered names.
     ("backend", lambda name: get_backend(name) is not None, ""),
     ("shards", lambda n: n >= 1, "{label} must be at least 1"),
-    ("tolerance", lambda t: 0.0 <= t <= 1.0, "{label} must be in [0, 1]"),
     ("pose_quant", lambda q: q >= 0, "{label} cannot be negative"),
     ("nodes", lambda n: n >= 1, "{label} must be at least 1"),
     ("node_workers", lambda n: n >= 1, "{label} must be at least 1"),
@@ -441,9 +421,6 @@ CROSS_RULES = {
     ),
     "--pose-quant requires --content-cache": (
         _SERVING, lambda a: a.pose_quant > 0 and not a.content_cache
-    ),
-    "--tolerance is only valid with --render-mode approx": (
-        (None,), lambda a: a.tolerance is not None and a.render_mode != "approx"
     ),
     "--max-nodes cannot be below --nodes": (
         _FLEET, lambda a: a.max_nodes is not None and a.max_nodes < a.nodes
@@ -553,11 +530,8 @@ def _write(path: str, text: str) -> None:
 # ----------------------------------------------------------------------
 def make_sessions(args: argparse.Namespace) -> list[StreamSession]:
     """Deterministic per-client sessions from the CLI arguments."""
-    backend = "approx" if args.render_mode == "approx" else args.backend
     adaptive = args.target_fps is not None and args.qos == "adaptive"
-    config = streaming_config(
-        backend=backend, cache_policy=args.cache_policy
-    )
+    config = streaming_config(backend=args.backend, cache_policy=args.cache_policy)
     if args.shards > 1 and not adaptive:
         # No controller to escalate: every frame shards statically.
         config = replace(config, shards=args.shards)
@@ -590,32 +564,20 @@ def make_sessions(args: argparse.Namespace) -> list[StreamSession]:
 
 def _run(args: argparse.Namespace) -> int:
     sessions = make_sessions(args)
-    # Environment, not a process-global override: worker processes
-    # spawned during the run inherit it, so every worker renders with
-    # the same tolerance.  Restored afterwards for the calling process.
-    previous = os.environ.get(APPROX_TOLERANCE_ENV_VAR)
-    if args.tolerance is not None:
-        os.environ[APPROX_TOLERANCE_ENV_VAR] = str(args.tolerance)
-    try:
-        # Self-calibration: one exact render of the requested workload,
-        # then every session digests from it.
-        models = _digest_models(
-            args,
-            [args.scene],
-            details=(args.detail,),
-            trajectories=(args.trajectory,),
-            n_frames=min(args.frames, 8),
-            config=sessions[0].config,
-        )
-        with _stream_server(args, models) as server:
-            server.warm_up()
-            results, summary = server.serve_timed(sessions)
-            content_totals = server.content_totals
-    finally:
-        if previous is None:
-            os.environ.pop(APPROX_TOLERANCE_ENV_VAR, None)
-        else:
-            os.environ[APPROX_TOLERANCE_ENV_VAR] = previous
+    # Self-calibration: one exact render of the requested workload,
+    # then every session digests from it.
+    models = _digest_models(
+        args,
+        [args.scene],
+        details=(args.detail,),
+        trajectories=(args.trajectory,),
+        n_frames=min(args.frames, 8),
+        config=sessions[0].config,
+    )
+    with _stream_server(args, models) as server:
+        server.warm_up()
+        results, summary = server.serve_timed(sessions)
+        content_totals = server.content_totals
 
     with_qos = args.target_fps is not None
     columns = {

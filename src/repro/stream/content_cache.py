@@ -35,8 +35,8 @@ over exactly the inputs that determine its pixels and timing:
 4. **Animation clock** — ``SceneBundle.frame_clock(k)``, so dynamic
    scenes only dedup frames showing the same animation phase.
 5. **Detail rung** — the LoD the frame was rendered at.
-6. **Render mode** — backend, effective approx tolerance, fp16,
-   shards, row interleaving, cross-tile overlap: everything in
+6. **Render mode** — backend, fp16, shards, row interleaving,
+   cross-tile overlap: everything in
    :class:`~repro.core.gbu.GBUConfig` that changes pixels or compute
    cycles.  ``cache_policy`` is deliberately *excluded*: the temporal
    cache policy changes neither the image nor the trace, and each
@@ -73,9 +73,7 @@ from repro.core.gbu import GBUConfig
 from repro.core.reuse_cache import CacheEconomics
 from repro.errors import ValidationError
 from repro.gaussians.camera import Camera
-from repro.render.approx import default_policy, tolerance_for_rung
 from repro.scenes.catalog import SceneBundle, SceneSpec, build_scene
-from repro.stream.qos import QualityController
 
 #: Tier levels, innermost first — the lookup walk order.
 TIER_LEVELS = ("session", "worker", "node", "fleet")
@@ -147,7 +145,6 @@ def pose_cell(camera: Camera, pose_quant: float) -> tuple[int, int, int]:
 
 def render_mode_key(
     backend: str,
-    tolerance: float | None,
     fp16: bool,
     shards: int,
     interleaved_rows: bool,
@@ -158,36 +155,19 @@ def render_mode_key(
     Everything that changes pixels or compute cycles; the temporal
     ``cache_policy`` is excluded on purpose (see module docstring).
     """
-    return (backend, tolerance, fp16, shards, interleaved_rows, cross_tile_overlap)
+    return (backend, fp16, shards, interleaved_rows, cross_tile_overlap)
 
 
-def render_mode(
-    config: GBUConfig,
-    controller: QualityController | None,
-    nominal_detail: float,
-    detail: float,
-    shards: int,
-) -> tuple:
-    """The render mode of one frame rendered at ``detail`` on ``shards``.
+def render_mode(config: GBUConfig, shards: int) -> tuple:
+    """The render mode of one frame rendered on ``shards``.
 
     Exactly what the exact pipeline's device renders with: the resolved
-    backend, the effective approx tolerance (the QoS rung's tolerance
-    under a controller, the process default otherwise, ``None`` for
-    exact backends), and every config knob that changes pixels or
-    compute cycles.  The exact and digest pipelines both key frames
-    through this one function, so their content keys agree by
-    construction.
+    backend and every config knob that changes pixels or compute
+    cycles.  The exact and digest pipelines both key frames through
+    this one function, so their content keys agree by construction.
     """
-    backend = config.resolved_backend_name()
-    tolerance = None
-    if backend == "approx":
-        if controller is not None:
-            tolerance = float(tolerance_for_rung(detail / nominal_detail))
-        else:
-            tolerance = float(default_policy().tolerance)
     return render_mode_key(
-        backend,
-        tolerance,
+        config.resolved_backend_name(),
         config.fp16,
         shards,
         config.interleaved_rows,

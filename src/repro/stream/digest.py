@@ -88,8 +88,10 @@ from repro.stream.pipeline import (
 from repro.stream.qos import QualityController
 from repro.stream.trajectory import CameraTrajectory
 
-#: Schema version of the serialized model table.
-MODEL_VERSION = 1
+#: Schema version of the serialized model table.  Bumped whenever the
+#: render ``mode`` tuple changes shape, so a table written with another
+#: shape is refused rather than silently mismatched.
+MODEL_VERSION = 2
 
 #: Most frames one table's frame memo holds; the oldest entry is
 #: evicted first.  A fixed-detail workload needs one entry per (model,
@@ -296,13 +298,15 @@ class WorkloadModelTable:
         """Resolve ``(model, scale)`` for a frame's workload.
 
         ``scale`` is the linear detail ratio to apply to the model's
-        sequences (1.0 on an exact rung match).
+        sequences (1.0 on an exact rung match).  The answer is memoized
+        under the exact ``detail`` asked for: the fallback rung and the
+        scale both depend on it, so no call depends on earlier ones.
         """
-        key = (scene, _detail_key(detail), trajectory, mode)
+        key = (scene, detail, trajectory, mode)
         hit = self._resolved.get(key)
         if hit is not None:
             return hit
-        model = self._models.get(key)
+        model = self._models.get((scene, _detail_key(detail), trajectory, mode))
         if model is None:
             self.require(scene, trajectory)
             same_mode = [
@@ -406,7 +410,7 @@ def _calibrate_one(
         spec, kind, n_frames=n_frames, seed=seed, detail=detail
     )
     stream = FrameStream(spec, trajectory, config=config, detail=detail)
-    mode = render_mode(stream.device.config, None, detail, detail, 1)
+    mode = render_mode(stream.device.config, 1)
     state = stream.cache_state
     records = [stream.render_next() for _ in range(n_frames)]
     width, height = spec.eval_resolution(detail)
@@ -642,9 +646,9 @@ class DigestFrameStream:
         #: Content-cache key sequence (one entry per frame when a
         #: content cache is attached) — the fidelity-assertion trace.
         self.key_trace: list = []
-        # Without a controller the render mode ignores detail and
-        # shards, so it is resolved once, here.
-        self._mode = render_mode(self.config, controller, detail, detail, 1)
+        # Without a controller the render mode is fixed (one shard), so
+        # it is resolved once, here.
+        self._mode = render_mode(self.config, 1)
         # Fail fast (at session registration, not first tick) when the
         # table cannot serve this stream at all; also pins the cache
         # geometry the checkpoint state must round-trip through.
@@ -750,11 +754,7 @@ class DigestFrameStream:
                 self.cache_state.flush_resident()
         shards = 1 if self.controller is None else self.controller.next_shards
         mode = (
-            self._mode
-            if self.controller is None
-            else render_mode(
-                self.config, self.controller, self.detail, detail, shards
-            )
+            self._mode if self.controller is None else render_mode(self.config, shards)
         )
         model, scale = self.models.lookup(
             self.spec.name, detail, self.trajectory.kind, mode

@@ -26,7 +26,6 @@ configuration — and the GBU side is the device's Step-3 roofline.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Protocol, runtime_checkable
 
@@ -38,7 +37,6 @@ from repro.core.reuse_cache import FrameCacheSample
 from repro.errors import DeviceBusyError, ValidationError
 from repro.gaussians import project
 from repro.gpu import FrameWorkload, GPUTimingModel, ScaleFactors
-from repro.render.approx import tolerance_for_rung, use_approx_policy
 from repro.scenes import BundleCache, SceneBundle, SceneSpec, build_scene
 from repro.scenes.catalog import CATALOG
 from repro.stream.binning import BinningStats, WarmBinner, camera_fingerprint
@@ -490,9 +488,7 @@ class FrameStream:
                 camera,
                 self.bundle.frame_clock(k),
                 detail,
-                render_mode(
-                    self.device.config, self.controller, self.detail, detail, shards
-                ),
+                render_mode(self.device.config, shards),
             )
             self.key_trace.append(key)
             hit = self.content.lookup(key)
@@ -505,9 +501,7 @@ class FrameStream:
             frame_key=(camera_fingerprint(camera), self.bundle.frame_clock(k)),
             source_ids=source_ids,
         )
-        report = self._render_via_device(
-            projected, lists, source_ids, shards=shards, detail=detail
-        )
+        report = self._render_via_device(projected, lists, source_ids, shards=shards)
         sim_seconds = self._frame_seconds(report, len(projected), extra_flops)
         if key is not None:
             self.content.insert(
@@ -607,8 +601,7 @@ class FrameStream:
         return record
 
     def _render_via_device(
-        self, projected, lists, source_ids, shards: int = 1,
-        detail: float | None = None,
+        self, projected, lists, source_ids, shards: int = 1
     ) -> GBUReport:
         """Issue the frame through the Listing-1 device protocol.
 
@@ -619,10 +612,6 @@ class FrameStream:
         ``shards`` reconfigures the (per-worker, shared) device's tile
         sharding for this frame only — sessions multiplexed onto one
         device each carry their own controller-chosen shard count.
-        With the ``approx`` backend under QoS control, the frame also
-        renders under the rung's tolerance
-        (:func:`~repro.render.approx.tolerance_for_rung`), so dropping
-        a rung makes the rung itself cheaper to render.
         """
         width, height = projected.image_size
         frame_buffer = np.empty((height, width, 3), dtype=np.float64)
@@ -633,24 +622,16 @@ class FrameStream:
         )
         if shards != self.device.config.shards:
             self.device.config = replace(self.device.config, shards=shards)
-        ctx = nullcontext()
-        if (
-            self.controller is not None
-            and detail is not None
-            and self.device.config.resolved_backend_name() == "approx"
-        ):
-            ctx = use_approx_policy(tolerance_for_rung(detail / self.detail))
-        with ctx:
-            try:
-                self.device.GBU_render_image(
-                    height, width, projected, lists, frame_buffer, **kwargs
-                )
-            except DeviceBusyError:
-                self.device.GBU_check_status(blocking=True)
-                self.device.GBU_render_image(
-                    height, width, projected, lists, frame_buffer, **kwargs
-                )
+        try:
+            self.device.GBU_render_image(
+                height, width, projected, lists, frame_buffer, **kwargs
+            )
+        except DeviceBusyError:
             self.device.GBU_check_status(blocking=True)
+            self.device.GBU_render_image(
+                height, width, projected, lists, frame_buffer, **kwargs
+            )
+        self.device.GBU_check_status(blocking=True)
         return self.device.last_report
 
     def run(self, n_frames: int | None = None) -> StreamReport:

@@ -383,7 +383,8 @@ class _WorkerState:
         (the full descriptor — trajectory parameters included — crosses
         the process boundary once).  Budget-exhausted sessions render
         nothing and are reported in ``done`` so the scheduler stops
-        dispatching them.
+        dispatching them.  A session reported ``done`` is released
+        here: its stream, budget and content view leave this worker.
         """
         result = TickResult()
         for session in sessions:
@@ -392,18 +393,17 @@ class _WorkerState:
                 session if isinstance(session, str) else session.session_id
             )
             budget = self.budgets[session_id]
+            if stream.frames_rendered < budget:
+                result.frames.append((session_id, stream.render_next()))
+                result.checkpoints[session_id] = capture_checkpoint(
+                    session_id, stream
+                )
+                view = self.views.get(session_id)
+                if view is not None:
+                    merge_economics(result.content, view.drain())
             if stream.frames_rendered >= budget:
                 result.done.append(session_id)
-                continue
-            result.frames.append((session_id, stream.render_next()))
-            result.checkpoints[session_id] = capture_checkpoint(
-                session_id, stream
-            )
-            view = self.views.get(session_id)
-            if view is not None:
-                merge_economics(result.content, view.drain())
-            if stream.frames_rendered >= budget:
-                result.done.append(session_id)
+                self.drop_sessions([session_id])
         return result
 
     def restore_sessions(
@@ -433,7 +433,7 @@ class _WorkerState:
                 restore_checkpoint(stream, ckpt)
 
     def drop_sessions(self, session_ids: list[str]) -> None:
-        """Forget sessions (migration source side)."""
+        """Forget sessions (finished, or the migration source side)."""
         for session_id in session_ids:
             self.streams.pop(session_id, None)
             self.budgets.pop(session_id, None)

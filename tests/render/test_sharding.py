@@ -3,11 +3,8 @@
 Tile rasterization is pixel-disjoint, so splitting one frame's tile
 grid across N shards and stitching the results must reproduce the
 unsharded render *bit for bit* — images, transmittance, contributor
-counts, stats, and IRSS workload counters — for the exact backends at
-any shard count (the property tested here).  The approx backend is
-also covered: its culling is tile-local, so sharded approx renders
-match the unsharded approx render, and sharding must never disturb
-the caller's process-wide policy override.
+counts, stats, and IRSS workload counters — for every backend at any
+shard count (the property tested here).
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from repro.gaussians import (
     project,
     render_reference,
 )
-from repro.render.approx import default_policy, use_approx_policy
 from repro.render.sharding import (
     ShardedRenderer,
     render_irss_sharded,
@@ -160,38 +156,6 @@ class TestExactInvariance:
         assert_pfs_invariant(projected, lists, 1, "vectorized")
 
 
-class TestApproxSharding:
-    def test_sharded_matches_unsharded(self):
-        """Tile-local culling keeps the approx backend shard-invariant
-        (near-exact: the reduced-precision datapath's segmented prefix
-        products may round differently across chunk layouts)."""
-        projected = _scene(31, 200, width=96, height=80)
-        lists = build_render_lists(projected)
-        with use_approx_policy(0.4):
-            base = render_reference(projected, lists, backend="approx")
-            for n in (2, 5):
-                sharded = render_pfs_sharded(
-                    projected, lists, n_shards=n, backend="approx"
-                )
-                np.testing.assert_allclose(
-                    sharded.image, base.image, atol=1e-5
-                )
-                assert sharded.stats.instances == base.stats.instances
-
-    def test_sharding_preserves_callers_policy_override(self):
-        """An in-process sharded render must restore — not clear — the
-        caller's policy override (regression: the first sharded frame
-        used to erase the session's tolerance for all later frames)."""
-        projected = _scene(31, 100)
-        lists = build_render_lists(projected)
-        with use_approx_policy(0.4) as policy:
-            before = render_reference(projected, lists, backend="approx")
-            render_pfs_sharded(projected, lists, n_shards=3, backend="approx")
-            assert default_policy() is policy
-            after = render_reference(projected, lists, backend="approx")
-        np.testing.assert_array_equal(before.image, after.image)
-
-
 class TestShardedRenderer:
     def test_validates_shard_count(self):
         with pytest.raises(ValidationError):
@@ -213,15 +177,3 @@ class TestShardedRenderer:
                 projected, lists, n_shards=3, backend="vectorized"
             ).image,
         )
-
-    def test_process_pool_smoke(self):
-        """Shards fanned over real worker processes stitch bit-identically
-        (one small frame: the pool is shared and torn down at exit)."""
-        projected = _scene(12, 40, width=48, height=32)
-        lists = build_render_lists(projected)
-        base = render_reference(projected, lists, backend="vectorized")
-        sharded = ShardedRenderer(
-            2, backend="vectorized", processes=True
-        ).render_pfs(projected, lists)
-        np.testing.assert_array_equal(base.image, sharded.image)
-        assert base.stats == sharded.stats

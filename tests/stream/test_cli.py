@@ -3,16 +3,13 @@ flags, JSON output."""
 
 import asyncio
 import json
-import os
 import re
 import threading
 
 import pytest
 
-from repro.render.approx import APPROX_TOLERANCE_ENV_VAR
 from repro.stream.cli import build_parser, main
 from repro.stream.gateway import GatewayClient
-from repro.stream.server import StreamServer
 
 SMALL = [
     "--scene",
@@ -45,8 +42,6 @@ FLAG_SURFACE = {
         "--target-fps": (None, None, float, None),
         "--qos": ("adaptive", ["adaptive", "fixed"], None, None),
         "--backend": ("vectorized", None, None, None),
-        "--render-mode": ("exact", ["exact", "approx"], None, None),
-        "--tolerance": (None, None, float, None),
         "--shards": (1, None, int, None),
         "--cache-policy": (
             "reuse_distance", ["fifo", "lru", "reuse_distance"],
@@ -336,13 +331,7 @@ class TestFleetSubcommand:
 
 
 class TestRenderModeAndShards:
-    """The approx render mode and intra-frame sharding flags."""
-
-    def test_invalid_render_mode_is_argparse_choice_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["--render-mode", "sloppy"])
-        assert exc.value.code == 2
-        assert "sloppy" in capsys.readouterr().err
+    """The render backend and intra-frame sharding flags."""
 
     def test_unknown_backend_lists_registered_names(self, capsys):
         assert main(SMALL + ["--backend", "quantum"]) == 2
@@ -352,46 +341,9 @@ class TestRenderModeAndShards:
         # The clean exit names the valid choices.
         assert "vectorized" in err and "reference" in err
 
-    def test_tolerance_requires_approx_mode(self, capsys):
-        assert main(SMALL + ["--tolerance", "0.3"]) == 2
-        assert "--render-mode approx" in capsys.readouterr().err
-
-    def test_tolerance_band_enforced(self, capsys):
-        args = SMALL + ["--render-mode", "approx", "--tolerance", "1.5"]
-        assert main(args) == 2
-        assert "--tolerance" in capsys.readouterr().err
-
     def test_non_positive_shards_rejected(self, capsys):
         assert main(SMALL + ["--shards", "0"]) == 2
         assert "--shards" in capsys.readouterr().err
-
-    def test_approx_serve_smoke(self, capsys):
-        args = SMALL + ["--render-mode", "approx", "--tolerance", "0.4"]
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "frames" in out
-
-    @pytest.mark.parametrize("preset", [None, "0.1"])
-    def test_tolerance_is_scoped_to_the_run(self, preset, monkeypatch):
-        """--tolerance reaches the serve through the environment (so
-        worker processes inherit it) and is restored afterwards."""
-        if preset is None:
-            monkeypatch.delenv(APPROX_TOLERANCE_ENV_VAR, raising=False)
-        else:
-            monkeypatch.setenv(APPROX_TOLERANCE_ENV_VAR, preset)
-        seen = []
-        warm_up = StreamServer.warm_up
-
-        def spy(server):
-            seen.append(os.environ.get(APPROX_TOLERANCE_ENV_VAR))
-            return warm_up(server)
-
-        monkeypatch.setattr(StreamServer, "warm_up", spy)
-        before = dict(os.environ)
-        args = SMALL + ["--render-mode", "approx", "--tolerance", "0.4"]
-        assert main(args) == 0
-        assert seen == ["0.4"]
-        assert dict(os.environ) == before
 
     def test_static_shard_serve_smoke(self, capsys, tmp_path):
         """Without adaptive QoS, --shards N shards every frame; the

@@ -59,7 +59,7 @@ def _eye_camera(cell, offset, pitch):
 
 
 def _key(camera, pitch):
-    mode = render_mode_key("vectorized", None, True, 1, False, False)
+    mode = render_mode_key("vectorized", True, 1, False, False)
     return frame_content_key(CATALOG["bicycle"], camera, 0, DETAIL, mode, pitch)
 
 

@@ -124,6 +124,23 @@ def test_lookup_exact_rung_and_nearest_fallback():
     assert scale == pytest.approx(0.5)
 
 
+def test_lookup_does_not_depend_on_earlier_lookups():
+    """Two details that round to one rung key, asked in either order,
+    each get what a fresh table gives them."""
+    models = _table().models
+    mode = models[0].mode
+    details = (DETAIL / 2, DETAIL / 2 + 1e-9)
+
+    def fresh(detail):
+        return WorkloadModelTable(models).lookup("bicycle", detail, "orbit", mode)
+
+    assert fresh(DETAIL / 2)[1] == 0.5
+    for order in (details, details[::-1]):
+        table = WorkloadModelTable(models)
+        for detail in order:
+            assert table.lookup("bicycle", detail, "orbit", mode) == fresh(detail)
+
+
 def test_lookup_unknown_scene_raises():
     with pytest.raises(ValidationError, match="no workload model"):
         _table().lookup("kitchen", 1.0, "orbit", ())
@@ -449,6 +466,25 @@ def test_served_digest_frames_retain_flat_object_count():
         gc.enable()
     assert small < 2.5 and large < 2.5
     assert abs(small - large) < 0.1
+
+
+def test_finished_sessions_leave_no_worker_state():
+    """Counted, not timed: a worker releases each session when it
+    reports ``done``, so after every serve of N, then 4N sessions
+    through one server the worker holds no stream and no
+    ``DigestFrameStream`` is alive."""
+
+    def live_streams():
+        gc.collect()
+        return sum(isinstance(o, DigestFrameStream) for o in gc.get_objects())
+
+    with StreamServer(workers=0, models=_fresh()) as server:
+        for n in (100, 400):
+            results = server.serve(_digest_sessions(n=n, n_frames=3))
+            assert len(results) == n
+            (state,) = server._local_states
+            assert not state.streams and not state.budgets and not state.views
+            assert live_streams() == 0
 
 
 # ----------------------------------------------------------------------
