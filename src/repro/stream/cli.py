@@ -321,8 +321,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         help="drain and exit once N sessions have finished and every "
-        "client has disconnected (CI smoke; default: serve until "
-        "SIGINT/SIGTERM)",
+        "client has disconnected (used by "
+        "tests/stream/test_cli.py::test_exit_after_sessions_serves_one_client; "
+        "default: serve until SIGINT/SIGTERM)",
     )
     return parser
 
@@ -759,8 +760,9 @@ async def _serve_gateway(args: argparse.Namespace, server) -> int:
         pipeline=args.pipeline,
     )
     await gateway.start()
-    # Flushed one-liner so scripts (and the CI smoke) can parse the
-    # ephemeral port.
+    # Flushed one-liner so scripts (and
+    # tests/stream/test_cli.py::test_exit_after_sessions_serves_one_client)
+    # can parse the ephemeral port.
     print(f"listening on {gateway.host}:{gateway.port}", flush=True)
     if args.http_port is not None:
         http_port = await gateway.start_http(args.http_port)

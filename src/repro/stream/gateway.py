@@ -392,7 +392,10 @@ class StreamGateway:
         self._detached: dict[str, _DetachedSession] = {}
         self._paused: set[str] = set()
         self._done: set[str] = set()
-        self._connections: list[_Connection] = []
+        #: Open connections only; a connection leaves at teardown.
+        self._connections: set[_Connection] = set()
+        #: Wire accounting of every accepted connection, in accept order.
+        self._connection_stats: list[ConnectionStats] = []
         self._closing = False
         self._bound_port: int | None = None
         self.results: list[SessionResult] | None = None
@@ -485,12 +488,12 @@ class StreamGateway:
     @property
     def connection_stats(self) -> list[ConnectionStats]:
         """Wire accounting for every connection ever accepted."""
-        return [conn.stats for conn in self._connections]
+        return list(self._connection_stats)
 
     def stats(self) -> dict:
         """Live counters (also served by the HTTP shim's ``/stats``)."""
         return {
-            "connections_total": len(self._connections),
+            "connections_total": len(self._connection_stats),
             "sessions_connected": len(self._by_session),
             "sessions_detached": len(self._detached),
             "sessions_done": len(self._done),
@@ -544,8 +547,15 @@ class StreamGateway:
 
         All backend mutation happens either here or in connection
         handlers holding :attr:`_lock`, so the synchronous backend is
-        never entered concurrently; the CPU-heavy ``step`` runs in a
-        worker thread to keep the event loop serving sockets.
+        never entered concurrently.  ``step`` runs on the event loop
+        and holds it for its duration: no socket is read or written
+        until the tick returns.  A digest tick costs tens of
+        microseconds, less than a hand-off to a worker thread and back
+        would.  A long tick (exact frames, subprocess workers) delays
+        every connection's I/O by its length; that is accepted, since
+        the lock already keeps every handler off the backend until the
+        step ends, and a thread kept only for such ticks would be a
+        second stepping path that no workload measures.
         """
         while True:
             if self._closing and not self._live_sessions():
@@ -560,7 +570,7 @@ class StreamGateway:
                 # ones here is the only way forward.
                 self._apply_backpressure()
                 if self._dispatchable():
-                    tick = await asyncio.to_thread(self.backend.step)
+                    tick = self.backend.step()
                 else:
                     tick = None
             if tick is not None and (tick.frames or tick.done):
@@ -636,7 +646,8 @@ class StreamGateway:
                     socket.SOL_SOCKET, socket.SO_SNDBUF, self.sndbuf
                 )
         conn = _Connection(reader, writer, self.send_queue_frames)
-        self._connections.append(conn)
+        self._connections.add(conn)
+        self._connection_stats.append(conn.stats)
         conn.writer_task = asyncio.create_task(self._writer_loop(conn))
         try:
             await self._serve_connection(conn)
@@ -812,6 +823,7 @@ class StreamGateway:
                         *self.backend.extract_session(session_id)
                     )
         await conn.close()
+        self._connections.discard(conn)
         self._wake.set()
 
     # -- HTTP shim ------------------------------------------------------

@@ -11,15 +11,18 @@ checkpoint replay is exact.
 """
 
 import asyncio
+import gc
 import json
 import socket
 import struct
+import threading
 
 import numpy as np
 import pytest
 
 from repro.errors import ValidationError
 from repro.gaussians.camera import Camera
+from repro.stream import WorkloadModelTable, streaming_config
 from repro.stream.fleet import EdgeFleet
 from repro.stream.gateway import (
     MAX_MESSAGE_BYTES,
@@ -265,6 +268,33 @@ class TestServing:
         assert stats.clean_close
         assert stats.bytes_sent > 0
         assert stats.messages_sent == N_FRAMES + 2  # welcome + frames + end
+
+    def test_step_runs_on_the_loop_thread(self):
+        """The pump steps the backend on the event loop's own thread,
+        with no hand-off to a worker thread."""
+        steps = []
+
+        class RecordingServer(StreamServer):
+            def step(self):
+                steps.append(threading.get_ident())
+                return super().step()
+
+        desc = _desc("inline")
+
+        async def scenario(gateway):
+            client = GatewayClient(gateway.host, gateway.port)
+            await client.connect()
+            await client.hello(desc)
+            frames, _ = await client.stream()
+            await client.bye()
+            await client.close()
+            return threading.get_ident(), len(frames)
+
+        (loop_thread, n_frames), _, _ = run(
+            _with_gateway(scenario, backend=RecordingServer(workers=0))
+        )
+        assert n_frames == N_FRAMES
+        assert steps and set(steps) == {loop_thread}
 
     def test_two_concurrent_clients_both_match_baseline(self):
         descs = [_desc("a"), _desc("b", scene="bonsai")]
@@ -527,8 +557,10 @@ class TestReconnectChaos:
     def test_detached_session_without_reconnect_is_reported(self):
         """A session whose client vanished and never came back still
         appears in the final results, reported as far as it streamed,
-        with worker -1 (parked, not placed)."""
-        desc = _desc("ghosted")
+        with worker -1 (parked, not placed).  Its budget is far beyond
+        what renders before the abort lands, so it is still live when
+        the gateway parks it."""
+        desc = _desc("ghosted", frames=10**6)
 
         async def scenario(gateway):
             client = GatewayClient(gateway.host, gateway.port)
@@ -548,6 +580,33 @@ class TestReconnectChaos:
         assert results[0].worker == -1
         # Parked with at least the delivered frames rendered.
         assert results[0].report.n_frames >= len(head)
+
+    def test_session_finished_before_its_client_vanished_is_reported(self):
+        """The other side of that race: a session whose last frame and
+        ``end`` went out before its client aborted is reported
+        finished, on the worker that served it, not as parked."""
+        desc = _desc("departed")
+
+        async def scenario(gateway):
+            client = GatewayClient(gateway.host, gateway.port)
+            await client.connect()
+            await client.hello(desc)
+            frames, end = await client.stream()
+            client.abort()
+            for _ in range(100):
+                if not gateway.stats()["sessions_connected"]:
+                    break
+                await asyncio.sleep(0.02)
+            return frames, end["report"]
+
+        (frames, report), results, gateway = run(_with_gateway(scenario))
+        assert [f["frame"] for f in frames] == list(range(N_FRAMES))
+        assert gateway.stats()["sessions_detached"] == 0
+        (result,) = results
+        assert result.worker >= 0
+        assert result.report.n_frames == N_FRAMES
+        assert report == report_evidence(result.report)
+        assert report == _baseline([desc])["departed"]
 
 
 # ----------------------------------------------------------------------
@@ -860,6 +919,89 @@ class TestShutdown:
             await gateway.stop()
 
         run(main())
+
+
+# ----------------------------------------------------------------------
+# Bounded state: a closed connection leaves no asyncio objects behind
+# ----------------------------------------------------------------------
+class TestBoundedState:
+    """Counted, not timed: after serving N, then 4N digest sessions
+    through one gateway, no ``_Connection`` or ``StreamWriter`` of a
+    closed connection is alive, while the wire accounting of every
+    connection stays, in accept order."""
+
+    N = 25
+    FRAMES = 3
+
+    @staticmethod
+    def _census() -> tuple[int, int]:
+        gc.collect()
+        objects = gc.get_objects()
+        return (
+            sum(isinstance(o, _Connection) for o in objects),
+            sum(isinstance(o, asyncio.StreamWriter) for o in objects),
+        )
+
+    async def _serve_one(self, gateway, session_id: str) -> int:
+        client = GatewayClient(gateway.host, gateway.port)
+        await client.connect()
+        await client.hello(
+            _desc(
+                session_id,
+                frames=self.FRAMES,
+                pipeline="digest",
+                keep_images=False,
+            )
+        )
+        frames, end = await client.stream()
+        assert end is not None
+        await client.bye()
+        await client.close()
+        return len(frames)
+
+    def test_closed_connections_keep_no_asyncio_objects(self):
+        async def scenario(gateway):
+            censuses = []
+            served = 0
+            for n in (self.N, 4 * self.N):
+                for index in range(served, served + n):
+                    assert await self._serve_one(gateway, f"s{index}") == (
+                        self.FRAMES
+                    )
+                served += n
+                # Teardown finishes a beat after the client closes.
+                for _ in range(100):
+                    census = self._census()
+                    if census == (0, 0):
+                        break
+                    await asyncio.sleep(0.01)
+                censuses.append(
+                    (gateway.stats()["connections_total"], census)
+                )
+            return censuses
+
+        models = WorkloadModelTable.calibrate(
+            ["bicycle"],
+            details=(DETAIL,),
+            trajectories=("orbit",),
+            n_frames=8,
+            config=streaming_config(),
+            seed=0,
+        )
+        backend = StreamServer(workers=0, models=models)
+        censuses, results, gateway = run(_with_gateway(scenario, backend))
+        assert censuses == [
+            (self.N, (0, 0)),
+            (5 * self.N, (0, 0)),
+        ]
+        assert len(results) == 5 * self.N
+        assert [s.session_id for s in gateway.connection_stats] == [
+            f"s{index}" for index in range(5 * self.N)
+        ]
+        assert all(
+            s.frames_sent == self.FRAMES and s.clean_close
+            for s in gateway.connection_stats
+        )
 
 
 # ----------------------------------------------------------------------
