@@ -15,6 +15,12 @@ call of the function — the classic aliasing trap.  ``ruff.toml``
 selects ``B006`` for environments with ruff installed; this native
 rule keeps the check alive offline.
 
+``IMP003`` — **undefined name** (ruff ``F821``).  A global load that
+nothing binds at module level and no builtin supplies: a ``NameError``
+waiting for the first call that reaches it.  Scopes come from the
+stdlib :mod:`symtable`, exactly as the compiler resolves them; modules
+with a star import are skipped.
+
 Unlike the invariant families, these rules scan **every** module the
 project was built over (src, benchmarks, scripts, tests, examples) —
 hygiene is not sim-scoped.
@@ -23,6 +29,8 @@ hygiene is not sim-scoped.
 from __future__ import annotations
 
 import ast
+import builtins
+import symtable
 from typing import Iterable
 
 from repro.analyze.findings import Finding, Severity
@@ -31,6 +39,7 @@ from repro.analyze.registry import rule
 
 UNUSED_IMPORT = "IMP001"
 MUTABLE_DEFAULT = "IMP002"
+UNDEFINED_NAME = "IMP003"
 
 
 def _imported_names(node: ast.Import | ast.ImportFrom) -> list[tuple[str, str]]:
@@ -149,3 +158,71 @@ def check_mutable_defaults(project: Project) -> Iterable[Finding]:
                         ),
                         hint="default to None and create inside the body",
                     )
+
+
+#: Globals every module has without binding them.
+_MODULE_GLOBALS = frozenset(dir(builtins)) | {
+    "__annotations__", "__builtins__", "__cached__", "__file__", "__path__",
+}
+
+
+def undefined_names(tree: ast.Module, source: str) -> list[tuple[str, str, int]]:
+    """``(scope name, name, scope line)`` of loaded globals nothing binds.
+
+    Empty for a module with a star import or one the compiler rejects.
+    """
+    if any(
+        isinstance(node, ast.ImportFrom) and node.names[0].name == "*"
+        for node in ast.walk(tree)
+    ):
+        return []
+    try:
+        scopes = [symtable.symtable(source, "<module>", "exec")]
+    except SyntaxError:
+        return []
+    for scope in scopes:  # grows while iterated: every nested scope
+        scopes.extend(scope.get_children())
+    bound = _MODULE_GLOBALS | {
+        sym.get_name()
+        for scope in scopes
+        for sym in scope.get_symbols()
+        if (sym.is_assigned() or sym.is_imported())
+        and (scope is scopes[0] or sym.is_declared_global())
+    }
+    return [
+        (scope.get_name(), sym.get_name(), scope.get_lineno())
+        for scope in scopes
+        for sym in scope.get_symbols()
+        if sym.is_referenced() and sym.is_global() and sym.get_name() not in bound
+    ]
+
+
+@rule(
+    UNDEFINED_NAME,
+    title="undefined name (F821)",
+    severity=Severity.ERROR,
+    description="a global name is loaded that no statement binds",
+)
+def check_undefined_names(project: Project) -> Iterable[Finding]:
+    for mod in project.modules:
+        for scope, name, scope_line in undefined_names(mod.tree, mod.source):
+            # Report the first use of the name at or after the scope opens.
+            line = min(
+                (
+                    node.lineno
+                    for node in ast.walk(mod.tree)
+                    if isinstance(node, ast.Name)
+                    and node.id == name
+                    and node.lineno >= scope_line
+                ),
+                default=1,
+            )
+            where = "at module level" if scope == "top" else f"in {scope}()"
+            yield Finding(
+                path=mod.rel_path,
+                line=line,
+                rule_id=UNDEFINED_NAME,
+                severity=Severity.ERROR,
+                message=f"undefined name '{name}' {where}",
+                hint="bind the name, import it, or fix the typo",
+            )

@@ -15,7 +15,7 @@ API parity; Python callers normally use :meth:`GBUDevice.render`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -67,12 +67,6 @@ class GBUConfig:
         ("reference", "vectorized", ...).  Every backend is
         pixel-identical, so the choice only affects simulation
         wall-clock.  ``None`` uses the process default.
-    shards:
-        Number of parallel tile engines the frame's tile grid is
-        sharded across.  The functional image is unchanged (tile
-        sharding is exact); compute time becomes the *slowest shard's*
-        cycle count, so a deadline-missing stream can buy latency with
-        hardware parallelism instead of quality.
     """
 
     use_dnb: bool = True
@@ -83,13 +77,10 @@ class GBUConfig:
     interleaved_rows: bool = True
     cross_tile_overlap: bool = True
     backend: str | None = None
-    shards: int = 1
 
     def __post_init__(self) -> None:
         if self.cache_policy not in POLICIES:
             raise ValidationError(f"unknown cache policy '{self.cache_policy}'")
-        if self.shards < 1:
-            raise ValidationError("shards must be at least 1")
         if self.backend is not None:
             # Fail at configuration time with the registered-name list
             # instead of mid-render.  Imported here to keep the device
@@ -158,6 +149,37 @@ class GBUReport:
         return self.cache.traffic_reduction
 
 
+def shard_tile_ranges(lists: RenderLists, n_shards: int) -> list[np.ndarray]:
+    """Partition the tile ids into ``n_shards`` contiguous ranges.
+
+    Ranges are balanced by cumulative instance count (empty tiles are
+    free), deterministic, and jointly cover every tile exactly once.
+    Shards may come back empty when the frame has fewer busy tiles
+    than shards.
+    """
+    if n_shards < 1:
+        raise ValidationError("shard count must be at least 1")
+    counts = lists.instances_per_tile().astype(np.float64)
+    n_tiles = counts.size
+    if n_shards == 1:
+        return [np.arange(n_tiles, dtype=np.int64)]
+    # Split points at equal quantiles of cumulative instance mass; the
+    # searchsorted boundaries are monotone, so ranges stay contiguous.
+    csum = np.cumsum(counts)
+    total = csum[-1] if n_tiles else 0.0
+    if total == 0.0:
+        bounds = np.linspace(0, n_tiles, n_shards + 1).astype(np.int64)
+    else:
+        targets = total * np.arange(1, n_shards) / n_shards
+        cuts = np.searchsorted(csum, targets, side="left") + 1
+        bounds = np.concatenate([[0], np.clip(cuts, 0, n_tiles), [n_tiles]])
+        bounds = np.maximum.accumulate(bounds)
+    return [
+        np.arange(bounds[i], bounds[i + 1], dtype=np.int64)
+        for i in range(n_shards)
+    ]
+
+
 def _workload_subset(
     workload: TileRowWorkload, tile_ids: np.ndarray
 ) -> TileRowWorkload:
@@ -166,8 +188,6 @@ def _workload_subset(
     The tile engine skips tiles with no instance setup, so simulating a
     subset costs only the shard's own tiles.
     """
-    from dataclasses import fields
-
     mask = np.zeros(workload.instance_setup.shape[0], dtype=bool)
     mask[tile_ids] = True
     kwargs = {}
@@ -219,6 +239,7 @@ class GBUDevice:
         lists: RenderLists | None = None,
         cache_state: TemporalReuseSimulator | None = None,
         feature_ids: np.ndarray | None = None,
+        shards: int = 1,
     ) -> GBUReport:
         """Render one frame and account its cycles.
 
@@ -246,7 +267,12 @@ class GBUDevice:
             to recognize the same Gaussian across frames.  Without it
             the raw visible indices are used, which is only valid when
             the visible set is frame-invariant.
+        shards:
+            Parallel tile engines for this frame.  The image does not
+            change; compute time is the *slowest shard's* cycle count.
         """
+        if shards < 1:
+            raise ValidationError("shards must be at least 1")
         # --- Decomposition & Binning ---
         if self.config.use_dnb:
             dnb = run_dnb(projected, calib=self.calib, exact=True)
@@ -293,9 +319,7 @@ class GBUDevice:
         # parallel; the frame completes when the slowest shard does.
         # Memory time is *not* divided — the shards share one DRAM.
         compute_cycles = engine.total_cycles
-        if self.config.shards > 1:
-            from repro.render.sharding import shard_tile_ranges
-
+        if shards > 1:
             compute_cycles = max(
                 simulate_tile_engine(
                     _workload_subset(render.workload, tiles),
@@ -304,7 +328,7 @@ class GBUDevice:
                     interleaved=self.config.interleaved_rows,
                     cross_tile_overlap=self.config.cross_tile_overlap,
                 ).total_cycles
-                for tiles in shard_tile_ranges(trace_lists, self.config.shards)
+                for tiles in shard_tile_ranges(lists, shards)
             )
         compute_s = compute_cycles * scales.fragment / self.spec.clock_hz
         demanded, feature_fetch, memory_s = self._blend_memory_seconds(
@@ -418,6 +442,7 @@ class GBUDevice:
         scales: ScaleFactors = ScaleFactors(),
         cache_state: TemporalReuseSimulator | None = None,
         feature_ids: np.ndarray | None = None,
+        shards: int = 1,
     ) -> None:
         """C-interface shim of Listing 1.
 
@@ -425,8 +450,9 @@ class GBUDevice:
         block with :meth:`GBU_check_status`.  The ``sorted_index``
         argument carries the Step-2 output, as in the paper's API.
         The keyword extensions (``scales``, ``cache_state``,
-        ``feature_ids``) mirror :meth:`render` so streaming servers can
-        drive the device through the busy/handshake protocol.
+        ``feature_ids``, ``shards``) mirror :meth:`render` so streaming
+        servers can drive the device through the busy/handshake
+        protocol.
         """
         if self._busy:
             raise DeviceBusyError("GBU busy: frame already in flight")
@@ -438,14 +464,17 @@ class GBUDevice:
             raise ValidationError("frame buffer does not match projection size")
         if ch != 3:
             raise ValidationError("this model implements 3 color channels")
-        self._busy = True
+        # A frame that fails to render is never in flight, so the
+        # device stays idle for the next one.
         report = self.render(
             input_feature,
             scales=scales,
             lists=sorted_index,
             cache_state=cache_state,
             feature_ids=feature_ids,
+            shards=shards,
         )
+        self._busy = True
         self._pending_copy = (frame_buffer, report.image)
 
     def GBU_check_status(self, blocking: bool = False) -> int:

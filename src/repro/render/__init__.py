@@ -8,9 +8,8 @@ Quick start::
     with use_backend("vectorized"):
         ...  # every render_reference / render_irss call in scope
 
-See :mod:`repro.render.backends` for the registry contract,
-:mod:`repro.render.vectorized` for the instance-batched engine, and
-:mod:`repro.render.sharding` for intra-frame tile sharding.
+See :mod:`repro.render.backends` for the registry contract and
+:mod:`repro.render.vectorized` for the instance-batched engine.
 """
 
 from repro.render.backends import (
@@ -24,12 +23,6 @@ from repro.render.backends import (
     set_default_backend,
     use_backend,
 )
-from repro.render.sharding import (
-    ShardedRenderer,
-    render_irss_sharded,
-    render_pfs_sharded,
-    shard_tile_ranges,
-)
 from repro.render.vectorized import (
     build_tile_batches,
     render_irss_vectorized,
@@ -39,18 +32,14 @@ from repro.render.vectorized import (
 __all__ = [
     "BACKEND_ENV_VAR",
     "RasterizerBackend",
-    "ShardedRenderer",
     "build_tile_batches",
     "default_backend",
     "get_backend",
     "list_backends",
     "register_backend",
-    "render_irss_sharded",
     "render_irss_vectorized",
-    "render_pfs_sharded",
     "render_pfs_vectorized",
     "resolve_backend",
     "set_default_backend",
-    "shard_tile_ranges",
     "use_backend",
 ]

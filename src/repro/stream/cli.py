@@ -22,7 +22,7 @@ import json
 import math
 import signal
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from repro.core.reuse_cache import POLICIES
 from repro.errors import ValidationError
@@ -181,10 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="intra-frame tile shards: with --target-fps and adaptive QoS "
-        "this is the escalation ceiling (sessions shard only after their "
-        "quality band is exhausted); otherwise every frame renders with "
-        "N parallel tile engines (default: 1)",
+        help="ceiling on a session's parallel tile engines; above 1 it "
+        "needs --target-fps with --qos adaptive, and a session adds "
+        "engines only after its quality band is exhausted (default: 1)",
     )
     return parser
 
@@ -215,8 +214,9 @@ def build_fleet_parser() -> argparse.ArgumentParser:
         "--router",
         default="least",
         choices=ROUTERS,
-        help="node selection: least-loaded or scene affinity "
-        "(default: least)",
+        help="node selection: 'least' (fewest sessions, then least "
+        "remaining cost), 'affinity' (a node already serving the scene "
+        "first) or 'active' (session count only) (default: least)",
     )
     parser.add_argument(
         "--max-nodes",
@@ -420,6 +420,11 @@ CROSS_RULES = {
     "--models requires --pipeline digest": (
         _SERVING, lambda a: a.models is not None and a.pipeline != "digest"
     ),
+    # Only an adaptive controller escalates past one tile engine.
+    "--shards above 1 requires --target-fps with --qos adaptive": (
+        (None,),
+        lambda a: a.shards > 1 and (a.target_fps is None or a.qos != "adaptive"),
+    ),
     "--pose-quant requires --content-cache": (
         _SERVING, lambda a: a.pose_quant > 0 and not a.content_cache
     ),
@@ -531,16 +536,11 @@ def _write(path: str, text: str) -> None:
 # ----------------------------------------------------------------------
 def make_sessions(args: argparse.Namespace) -> list[StreamSession]:
     """Deterministic per-client sessions from the CLI arguments."""
-    adaptive = args.target_fps is not None and args.qos == "adaptive"
     config = streaming_config(backend=args.backend, cache_policy=args.cache_policy)
-    if args.shards > 1 and not adaptive:
-        # No controller to escalate: every frame shards statically.
-        config = replace(config, shards=args.shards)
     qos = None
-    if adaptive:
-        qos = QoSPolicy(max_shards=args.shards)
-    elif args.target_fps is not None:
-        qos = QoSPolicy.fixed()
+    if args.target_fps is not None:
+        adaptive = args.qos == "adaptive"
+        qos = QoSPolicy(max_shards=args.shards) if adaptive else QoSPolicy.fixed()
     return [
         StreamSession(
             session_id=f"{args.scene}-{args.trajectory}-{i}",

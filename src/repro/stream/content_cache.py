@@ -35,8 +35,8 @@ over exactly the inputs that determine its pixels and timing:
 4. **Animation clock** — ``SceneBundle.frame_clock(k)``, so dynamic
    scenes only dedup frames showing the same animation phase.
 5. **Detail rung** — the LoD the frame was rendered at.
-6. **Render mode** — backend, fp16, shards, row interleaving,
-   cross-tile overlap: everything in
+6. **Render mode** — the frame's shard count plus backend, fp16, row
+   interleaving and cross-tile overlap: everything in
    :class:`~repro.core.gbu.GBUConfig` that changes pixels or compute
    cycles.  ``cache_policy`` is deliberately *excluded*: the temporal
    cache policy changes neither the image nor the trace, and each

@@ -11,7 +11,8 @@ user traffic.  :class:`EdgeFleet` adds that layer:
   ``router="least"`` picks the least-loaded node (fewest active
   sessions, then least simulated busy time), ``"affinity"`` prefers a
   node already serving the same scene (bundle and estimate reuse)
-  before falling back to least-loaded.
+  before falling back to least-loaded, and ``"active"`` balances on
+  active-session count alone.
 * **Fleet admission control** — each node serves at most
   ``node_capacity`` sessions concurrently; the rest wait in the
   router queue.  Queue depth is the autoscaling signal and is traced
@@ -252,7 +253,8 @@ class EdgeFleet:
         Workers per node (each node is a deterministic in-process
         multi-worker :class:`StreamServer`, ``local=True``).
     router:
-        Node-selection policy: ``"least"`` or ``"affinity"``.
+        Node-selection policy, one of :data:`ROUTERS`: ``"least"``,
+        ``"affinity"`` or ``"active"``.
     node_capacity:
         Max concurrent sessions per node (fleet admission control).
     placement:

@@ -26,7 +26,7 @@ configuration — and the GBU side is the device's Step-3 roofline.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
@@ -609,9 +609,8 @@ class FrameStream:
         frame in flight; :class:`~repro.errors.DeviceBusyError` is
         honored by draining the pending frame and re-issuing.
 
-        ``shards`` reconfigures the (per-worker, shared) device's tile
-        sharding for this frame only — sessions multiplexed onto one
-        device each carry their own controller-chosen shard count.
+        ``shards`` is this frame's tile-engine count; sessions that
+        share one device each pass their own controller-chosen count.
         """
         width, height = projected.image_size
         frame_buffer = np.empty((height, width, 3), dtype=np.float64)
@@ -619,9 +618,8 @@ class FrameStream:
             scales=self.scales,
             cache_state=self.cache_state,
             feature_ids=source_ids[projected.source_index],
+            shards=shards,
         )
-        if shards != self.device.config.shards:
-            self.device.config = replace(self.device.config, shards=shards)
         try:
             self.device.GBU_render_image(
                 height, width, projected, lists, frame_buffer, **kwargs

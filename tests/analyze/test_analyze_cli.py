@@ -41,7 +41,7 @@ def test_cli_list_rules():
     proc = _run("--list-rules")
     assert proc.returncode == 0
     for rule_id in ("DET101", "DET102", "DET103", "CKPT201", "CKPT202",
-                    "RACE301", "IMP001", "IMP002"):
+                    "RACE301", "IMP001", "IMP002", "IMP003"):
         assert rule_id in proc.stdout
 
 

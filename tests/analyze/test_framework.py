@@ -25,7 +25,7 @@ pytestmark = pytest.mark.analyze
 EXPECTED_RULES = {
     "CKPT201", "CKPT202",
     "DET101", "DET102", "DET103",
-    "IMP001", "IMP002",
+    "IMP001", "IMP002", "IMP003",
     "RACE301",
 }
 

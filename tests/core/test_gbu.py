@@ -1,11 +1,22 @@
 """Tests for the GBU device model and its Listing-1 interface."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.gbu import GBUConfig, GBUDevice
-from repro.core.irss import render_irss
+from repro.core.gbu import (
+    GBUConfig,
+    GBUDevice,
+    _workload_subset,
+    shard_tile_ranges,
+)
+from repro.core.irss import TileRowWorkload, render_irss
+from repro.core.tile_engine import simulate_tile_engine
 from repro.errors import DeviceBusyError, ValidationError
+from repro.gaussians import Camera, GaussianCloud, build_render_lists, project
 from repro.gpu.workload import ScaleFactors
 
 
@@ -115,9 +126,100 @@ class TestListingOneInterface:
                 np.zeros((height, width, 4)), ch=4,
             )
 
+    def test_failed_render_leaves_device_idle(self, small_projected):
+        device = GBUDevice()
+        width, height = small_projected.image_size
+        frame = np.zeros((height, width, 3))
+        with pytest.raises(ValidationError):
+            device.GBU_render_image(
+                height, width, small_projected, None, frame, shards=0
+            )
+        assert device.GBU_check_status() == 0
+        device.GBU_render_image(height, width, small_projected, None, frame)
+        assert device.GBU_check_status(blocking=True) == 0
+
     def test_last_report_available_after_render(self, small_projected):
         device = GBUDevice()
         with pytest.raises(ValidationError):
             _ = device.last_report
         device.render(small_projected)
         assert device.last_report.step3_seconds > 0
+
+
+def _scene(seed: int, n: int, width: int = 72, height: int = 56):
+    rng = np.random.default_rng(seed)
+    cloud = GaussianCloud.random(n, rng, extent=0.6, scale_range=(0.03, 0.3))
+    cloud = GaussianCloud(
+        means=cloud.means,
+        scales=cloud.scales,
+        quats=cloud.quats,
+        opacities=np.clip(cloud.opacities, 0.05, 0.95),
+        sh=cloud.sh,
+    )
+    camera = Camera.look_at(
+        eye=[0.1, 0.2, -2.0], target=[0, 0, 0], width=width, height=height
+    )
+    return project(cloud, camera)
+
+
+class TestShardRanges:
+    @given(seed=st.integers(0, 10_000), n=st.integers(0, 150),
+           n_shards=st.integers(1, 9))
+    @settings(max_examples=20, deadline=None)
+    def test_cover_every_tile_exactly_once(self, seed, n, n_shards):
+        lists = build_render_lists(_scene(seed, n))
+        ranges = shard_tile_ranges(lists, n_shards)
+        assert len(ranges) == n_shards
+        joined = np.concatenate(ranges)
+        # Contiguous ascending ranges that jointly cover the grid.
+        np.testing.assert_array_equal(
+            joined, np.arange(lists.grid.n_tiles, dtype=np.int64)
+        )
+
+    def test_balances_by_instance_mass(self):
+        lists = build_render_lists(_scene(5, 120))
+        counts = lists.instances_per_tile()
+        ranges = shard_tile_ranges(lists, 4)
+        loads = [counts[r].sum() for r in ranges]
+        # No shard carries more than the ideal split plus one tile's
+        # worth of work (contiguity limits balancing to tile granularity).
+        assert max(loads) <= counts.sum() / 4 + counts.max()
+
+    def test_rejects_non_positive_shard_count(self):
+        lists = build_render_lists(_scene(1, 10))
+        with pytest.raises(ValidationError):
+            shard_tile_ranges(lists, 0)
+        with pytest.raises(ValidationError):
+            GBUDevice().render(_scene(1, 10), shards=0)
+
+
+class TestShardTiming:
+    """N shards are N parallel tile engines over disjoint tile subsets."""
+
+    @pytest.mark.parametrize("n_shards", [2, 3, 5])
+    def test_shard_workloads_partition_the_frame(self, n_shards):
+        projected = _scene(11, 120)
+        lists = build_render_lists(projected)
+        workload = render_irss(projected, lists).workload
+        subsets = [
+            _workload_subset(workload, tiles)
+            for tiles in shard_tile_ranges(lists, n_shards)
+        ]
+        for f in fields(TileRowWorkload):
+            np.testing.assert_array_equal(
+                sum(getattr(sub, f.name) for sub in subsets),
+                getattr(workload, f.name),
+                err_msg=f.name,
+            )
+        whole = simulate_tile_engine(workload).total_cycles
+        largest = max(simulate_tile_engine(sub).total_cycles for sub in subsets)
+        assert largest <= whole
+
+    def test_sharded_frame_keeps_image_and_is_no_slower(self):
+        projected = _scene(11, 120)
+        device = GBUDevice()
+        base = device.render(projected)
+        sharded = device.render(projected, shards=3)
+        np.testing.assert_array_equal(base.image, sharded.image)
+        assert sharded.compute_seconds <= base.compute_seconds
+        assert sharded.memory_seconds == base.memory_seconds

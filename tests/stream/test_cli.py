@@ -345,15 +345,30 @@ class TestRenderModeAndShards:
         assert main(SMALL + ["--shards", "0"]) == 2
         assert "--shards" in capsys.readouterr().err
 
-    def test_static_shard_serve_smoke(self, capsys, tmp_path):
-        """Without adaptive QoS, --shards N shards every frame; the
-        serve completes and reports all frames."""
+    def test_adaptive_serve_escalates_to_shards(self, capsys, tmp_path):
+        """An unmeetable deadline drives detail to the floor, then the
+        controller adds the second tile engine the flag allows."""
         report = tmp_path / "sharded.json"
-        args = SMALL + ["--shards", "2", "--json", str(report)]
+        args = SMALL + [
+            "--frames", "10", "--target-fps", "1e5", "--shards", "2",
+            "--json", str(report),
+        ]
         assert main(args) == 0
-        body = json.loads(report.read_text())
-        frames = body["sessions"][0]["frames"]
-        assert len(frames) == 2
+        frames = json.loads(report.read_text())["sessions"][0]["frames"]
+        assert [f.get("shards", 1) for f in frames] == [1] * 8 + [2, 2]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--target-fps", "72", "--qos", "fixed"]],
+        ids=["no-deadline", "fixed-qos"],
+    )
+    def test_shards_need_adaptive_qos(self, capsys, extra):
+        """Only an adaptive controller adds tile engines, so --shards
+        above 1 without one is an argument error, not a silent no-op."""
+        assert main(SMALL + ["--shards", "2"] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "--shards above 1 requires --target-fps with --qos adaptive" in err
 
 
 class TestModelsErrorRouting:

@@ -1,6 +1,8 @@
 """QoS: deadlines, the AIMD controller, adaptive streams, serving,
 checkpoint replay (including crash recovery and double migration)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,15 +10,20 @@ from repro.errors import ValidationError
 from repro.scenes.catalog import CATALOG, BundleCache
 from repro.stream import (
     CameraTrajectory,
+    DigestFrameStream,
     FrameDeadline,
     FrameStream,
     QoSPolicy,
     QualityController,
     StreamServer,
     StreamSession,
+    WorkloadModelTable,
     capture_checkpoint,
     restore_checkpoint,
+    streaming_config,
+    trace_agreement,
 )
+from repro.stream.digest import SIM_SECONDS_REL_TOL
 from repro.stream.server import _WorkerState
 
 TARGET_FPS = 72.0
@@ -661,6 +668,59 @@ class TestShardEscalation:
                     scale=0.75, frames_observed=1, misses=0, floor_misses=-1
                 )
             )
+
+    def _escalating_stream(self, policy, cls=FrameStream, **kwargs):
+        """Bicycle at detail 0.2 under an unmeetable 10^5 fps deadline:
+        the controller drops to the 0.1 floor, then adds shards."""
+        spec = CATALOG["bicycle"]
+        trajectory = CameraTrajectory.for_scene(
+            spec, "orbit", n_frames=8, seed=0, detail=0.2
+        )
+        controller = QualityController(
+            FrameDeadline(1e5), policy, nominal_detail=0.2
+        )
+        return cls(spec, trajectory, detail=0.2, controller=controller, **kwargs)
+
+    def test_exact_stream_escalates_without_changing_images(self):
+        """Sharding is pixel-exact and only shortens the tile-engine
+        time, so the images match an unsharded run bit for bit."""
+        sharded = self._escalating_stream(
+            self.POLICY, keep_images=True, bundle_provider=BundleCache().get
+        ).run(8)
+        unsharded = self._escalating_stream(
+            dataclasses.replace(self.POLICY, max_shards=1),
+            keep_images=True,
+            bundle_provider=BundleCache().get,
+        ).run(8)
+        assert [f.shards for f in sharded.frames] == [1, 1, 1, 2, 2, 3, 3, 3]
+        assert [f.shards for f in unsharded.frames] == [1] * 8
+        pairs = list(zip(sharded.frames, unsharded.frames))
+        for a, b in pairs:
+            assert a.detail == b.detail
+            np.testing.assert_array_equal(a.image, b.image)
+            assert a.sim_seconds <= b.sim_seconds
+        # Memory-bound frames keep their time; a compute-bound one gains.
+        assert any(a.sim_seconds < b.sim_seconds for a, b in pairs)
+
+    def test_digest_tracks_exact_escalation(self):
+        table = WorkloadModelTable.calibrate(
+            ["bicycle"],
+            details=(0.2, 0.1),
+            trajectories=("orbit",),
+            n_frames=8,
+            config=streaming_config(),
+            seed=0,
+        )
+        exact = self._escalating_stream(
+            self.POLICY, bundle_provider=BundleCache().get
+        ).run(8)
+        digest = self._escalating_stream(
+            self.POLICY, cls=DigestFrameStream, models=table
+        ).run(8)
+        agreement = trace_agreement(exact, digest)
+        assert agreement.shards_match and agreement.details_match
+        assert agreement.max_sim_rel_err <= SIM_SECONDS_REL_TOL
+        assert agreement.ok, agreement.mismatches
 
     def test_reset_returns_to_one_shard(self):
         ctrl = _controller(self.POLICY)
