@@ -472,9 +472,7 @@ def compare_placements(
             max_inflight=max_inflight,
         ) as server:
             results, summary = server.serve_timed(sessions)
-            completions = [
-                c for stamps in server.frame_completions.values() for c in stamps
-            ]
+        completions = [c for r in results for c in r.report.completions]
         latencies = [
             f.sim_seconds for r in results for f in r.report.frames
         ]

@@ -296,12 +296,27 @@ class GBUDevice:
         )
 
         # --- Tile engine cycles ---
-        engine = simulate_tile_engine(
-            render.workload,
-            spec=self.spec,
-            calib=self.calib,
-            interleaved=self.config.interleaved_rows,
-            cross_tile_overlap=self.config.cross_tile_overlap,
+        # With N tile shards, N engines blend disjoint tile subsets in
+        # parallel; the frame completes when the slowest shard does, so
+        # that shard's report is the frame's.
+        workloads = [render.workload]
+        if shards > 1:
+            workloads = [
+                _workload_subset(render.workload, tiles)
+                for tiles in shard_tile_ranges(lists, shards)
+            ]
+        engine = max(
+            (
+                simulate_tile_engine(
+                    workload,
+                    spec=self.spec,
+                    calib=self.calib,
+                    interleaved=self.config.interleaved_rows,
+                    cross_tile_overlap=self.config.cross_tile_overlap,
+                )
+                for workload in workloads
+            ),
+            key=lambda report: report.total_cycles,
         )
 
         # --- Feature traffic through the reuse cache ---
@@ -315,22 +330,8 @@ class GBUDevice:
             cache = self.new_cache_state().observe_frame(trace, tile_of_access).report
 
         # --- Paper-scale seconds ---
-        # With N tile shards, N engines blend disjoint tile subsets in
-        # parallel; the frame completes when the slowest shard does.
-        # Memory time is *not* divided — the shards share one DRAM.
-        compute_cycles = engine.total_cycles
-        if shards > 1:
-            compute_cycles = max(
-                simulate_tile_engine(
-                    _workload_subset(render.workload, tiles),
-                    spec=self.spec,
-                    calib=self.calib,
-                    interleaved=self.config.interleaved_rows,
-                    cross_tile_overlap=self.config.cross_tile_overlap,
-                ).total_cycles
-                for tiles in shard_tile_ranges(lists, shards)
-            )
-        compute_s = compute_cycles * scales.fragment / self.spec.clock_hz
+        # Memory time is *not* divided by shards: they share one DRAM.
+        compute_s = engine.total_cycles * scales.fragment / self.spec.clock_hz
         demanded, feature_fetch, memory_s = self._blend_memory_seconds(
             cache, render.image.shape[0], render.image.shape[1], scales
         )

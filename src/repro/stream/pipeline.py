@@ -176,6 +176,10 @@ class StreamReport:
     scene: str
     trajectory: str
     frames: list[FrameRecord] = field(default_factory=list)
+    #: Per-frame simulated completion stamps set by the server: the
+    #: rendering worker's cumulative busy seconds when the frame
+    #: finished.  They depend on placement, so equality ignores them.
+    completions: list[float] = field(default_factory=list, compare=False, repr=False)
 
     @property
     def n_frames(self) -> int:

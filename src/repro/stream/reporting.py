@@ -171,6 +171,9 @@ class TickResult:
     every session that rendered, enabling crash recovery and
     migration; ``content`` carries the tick's per-tier
     content-cache economics (empty without a content cache).
+
+    Only a worker's own result carries ``checkpoints``: the server
+    keeps each session's latest one, and :meth:`merged` leaves them out.
     """
 
     frames: list[tuple[str, FrameRecord]] = field(default_factory=list)
@@ -194,12 +197,12 @@ class TickResult:
 
     @staticmethod
     def merged(results: list["TickResult"]) -> "TickResult":
-        """Fold the per-batch results of one tick into a single view."""
+        """Fold the per-batch results of one tick into a single view
+        (frames, ``done`` ids and cache economics; no checkpoints)."""
         out = TickResult()
         for result in results:
             out.frames.extend(result.frames)
             out.done.extend(result.done)
-            out.checkpoints.update(result.checkpoints)
             merge_economics(out.content, result.content)
         return out
 

@@ -234,7 +234,7 @@ class StreamScheduler:
         self._undone.pop(session_id, None)
         self._paused.discard(session_id)
         self._cost_cache = None
-        if session_id in self._queue:
+        if not plan.admitted:
             self._queue.remove(session_id)
         else:
             # An admitted session left; its capacity slot frees up.
@@ -251,9 +251,9 @@ class StreamScheduler:
         return self._active_count
 
     @property
-    def queued(self) -> list[str]:
-        """Session ids waiting for admission (backpressure queue)."""
-        return list(self._queue)
+    def n_queued(self) -> int:
+        """Sessions waiting for admission (backpressure queue)."""
+        return len(self._queue)
 
     def admit(self) -> list[str]:
         """Admit queued sessions while the pool has capacity."""

@@ -56,6 +56,23 @@ tick.  :meth:`~StreamServer.extract_session` /
 servers as a (descriptor, checkpoint, report) triple; the fleet layer
 (:mod:`repro.stream.fleet`) builds cross-node migration on exactly
 this.
+
+A live session is one entry on each side of the worker boundary, and
+every lifecycle path adds, moves or drops whole entries:
+
+* **Server** (``_Live``: descriptor, report with completion stamps,
+  latest checkpoint, ``shipped`` flag) — added by ``begin``,
+  ``submit`` and ``inject_session``; ``step`` fills it; handed to
+  another server by ``extract_session``; published and dropped by
+  ``finish``.
+* **Worker** (``_Hosted``: stream, frame budget, content view) — added
+  by the first tick that names the session, or by a replay
+  (``_recover_worker``, ``_apply_migrations``, ``inject_session``);
+  dropped when the worker reports the session done, on a migration
+  away (``_apply_migrations``, ``extract_session``) and by ``reset``.
+
+The scheduler keeps its own plan per session: placement and tick
+order follow the plans' insertion order.
 """
 
 from __future__ import annotations
@@ -66,7 +83,7 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.core.gbu import GBUConfig, GBUDevice
 from repro.core.reuse_cache import CacheEconomics
@@ -248,8 +265,17 @@ def check_servable(
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
+class _Hosted(NamedTuple):
+    """One session on a worker: everything ``render_tick`` needs."""
+
+    stream: FramePipeline
+    budget: int
+    view: SessionContentView | None
+
+
 class _WorkerState:
-    """Per-worker serving state: one device, shared bundles, sessions.
+    """Per-worker serving state: one device, shared bundles, and one
+    :class:`_Hosted` entry per session in ``hosted``.
 
     Scene bundles live in a bounded :class:`~repro.scenes.BundleCache`
     keyed ``(scene, detail)``: adaptive-quality sessions touch one
@@ -271,12 +297,11 @@ class _WorkerState:
             capacity=bundle_cache_size, builder=bundle_builder
         )
         self.models = models
-        self.streams: dict[str, FramePipeline] = {}
-        self.budgets: dict[str, int] = {}
+        self.hosted: dict[str, _Hosted] = {}
         # Content-addressed render cache: this worker owns the worker
         # tier (chained to the server's node tier when in-process; a
         # subprocess worker's chain ends here) and one session tier per
-        # live session, created in _stream_for.
+        # hosted session, created in _register.
         self.content_config = content
         self.content_parent = content_parent
         self.worker_tier: CacheTier | None = None
@@ -284,7 +309,6 @@ class _WorkerState:
             self.worker_tier = CacheTier(
                 "worker", content.worker_bytes, parent=content_parent
             )
-        self.views: dict[str, SessionContentView] = {}
 
     def reset(self, bundle_cache_size: int | None = None) -> None:
         self.devices.clear()
@@ -294,35 +318,22 @@ class _WorkerState:
             )
         else:
             self.bundles.clear()
-        self.streams.clear()
-        self.budgets.clear()
+        self.hosted.clear()
         if self.content_config is not None:
             self.worker_tier = CacheTier(
                 "worker",
                 self.content_config.worker_bytes,
                 parent=self.content_parent,
             )
-        self.views.clear()
 
     def _device_for(self, config: GBUConfig) -> GBUDevice:
         if config not in self.devices:
             self.devices[config] = GBUDevice(config=config)
         return self.devices[config]
 
-    def _stream_for(self, session: StreamSession | str) -> FramePipeline:
-        session_id = (
-            session if isinstance(session, str) else session.session_id
-        )
-        stream = self.streams.get(session_id)
-        if stream is not None and session_id in self.budgets:
-            return stream
-        if isinstance(session, str):
-            # Unknown id — or a half-registered stream that lost its
-            # budget across a reset/recovery.  Either way the session
-            # is not serviceable from an id alone.
-            raise ValidationError(
-                f"session '{session_id}' referenced by id before registration"
-            )
+    def _register(self, session: StreamSession) -> _Hosted:
+        """Build a fresh stream for ``session`` and host it (replacing
+        any entry under the same id)."""
         if session.pipeline not in PIPELINES:
             raise ValidationError(
                 f"unknown pipeline '{session.pipeline}' "
@@ -344,7 +355,6 @@ class _WorkerState:
                 parent=self.worker_tier,
             )
             view = SessionContentView(self.content_config, session_tier)
-            self.views[session.session_id] = view
         if session.pipeline == "digest":
             check_servable(session, self.models)
             stream = DigestFrameStream(
@@ -370,9 +380,9 @@ class _WorkerState:
                 bundle_provider=self.bundles.get,
                 content=view,
             )
-        self.streams[session.session_id] = stream
-        self.budgets[session.session_id] = session.frame_budget
-        return stream
+        hosted = _Hosted(stream, session.frame_budget, view)
+        self.hosted[session.session_id] = hosted
+        return hosted
 
     def render_tick(self, sessions: list[StreamSession | str]) -> TickResult:
         """Render the next frame of every (unfinished) session given.
@@ -381,29 +391,35 @@ class _WorkerState:
         back-to-back from the same bundle on this worker's device.
         After a session's first tick the scheduler sends only its id
         (the full descriptor — trajectory parameters included — crosses
-        the process boundary once).  Budget-exhausted sessions render
+        the process boundary once); an id this worker does not host is
+        a :class:`ValidationError`.  Budget-exhausted sessions render
         nothing and are reported in ``done`` so the scheduler stops
         dispatching them.  A session reported ``done`` is released
-        here: its stream, budget and content view leave this worker.
+        here: its entry leaves this worker.
         """
         result = TickResult()
+        hosted_by_id = self.hosted
         for session in sessions:
-            stream = self._stream_for(session)
-            session_id = (
-                session if isinstance(session, str) else session.session_id
-            )
-            budget = self.budgets[session_id]
-            if stream.frames_rendered < budget:
+            session_id = session if isinstance(session, str) else session.session_id
+            hosted = hosted_by_id.get(session_id)
+            if hosted is None:
+                if isinstance(session, str):
+                    raise ValidationError(
+                        f"session '{session_id}' referenced by id before "
+                        "registration"
+                    )
+                hosted = self._register(session)
+            stream = hosted.stream
+            if stream.frames_rendered < hosted.budget:
                 result.frames.append((session_id, stream.render_next()))
                 result.checkpoints[session_id] = capture_checkpoint(
                     session_id, stream
                 )
-                view = self.views.get(session_id)
-                if view is not None:
-                    merge_economics(result.content, view.drain())
-            if stream.frames_rendered >= budget:
+                if hosted.view is not None:
+                    merge_economics(result.content, hosted.view.drain())
+            if stream.frames_rendered >= hosted.budget:
                 result.done.append(session_id)
-                self.drop_sessions([session_id])
+                del hosted_by_id[session_id]
         return result
 
     def restore_sessions(
@@ -425,19 +441,14 @@ class _WorkerState:
                     f"({session.session_id}, {session.scene}, "
                     f"detail={session.detail})"
                 )
-            self.streams.pop(session.session_id, None)
-            self.budgets.pop(session.session_id, None)
-            self.views.pop(session.session_id, None)
-            stream = self._stream_for(session)
+            hosted = self._register(session)
             if ckpt is not None:
-                restore_checkpoint(stream, ckpt)
+                restore_checkpoint(hosted.stream, ckpt)
 
     def drop_sessions(self, session_ids: list[str]) -> None:
-        """Forget sessions (finished, or the migration source side)."""
+        """Forget sessions that moved to another worker or server."""
         for session_id in session_ids:
-            self.streams.pop(session_id, None)
-            self.budgets.pop(session_id, None)
-            self.views.pop(session_id, None)
+            self.hosted.pop(session_id, None)
 
 
 _STATE: _WorkerState | None = None
@@ -450,8 +461,9 @@ def _subprocess_state() -> _WorkerState:
     return _STATE
 
 
-def _subprocess_render_tick(sessions: list[StreamSession | str]) -> TickResult:
-    return _subprocess_state().render_tick(sessions)
+def _subprocess_call(method: str, *args):
+    """Run one :class:`_WorkerState` method on this process's state."""
+    return getattr(_subprocess_state(), method)(*args)
 
 
 def _subprocess_reset(
@@ -478,16 +490,6 @@ def _subprocess_reset(
     _subprocess_state().reset(bundle_cache_size)
 
 
-def _subprocess_restore(
-    payload: list[tuple[StreamSession, SessionCheckpoint | None]],
-) -> None:
-    _subprocess_state().restore_sessions(payload)
-
-
-def _subprocess_drop(session_ids: list[str]) -> None:
-    _subprocess_state().drop_sessions(session_ids)
-
-
 def _subprocess_crash() -> None:  # pragma: no cover - kills the process
     """Fault injection: die the way a crashed worker does."""
     os._exit(13)
@@ -496,6 +498,27 @@ def _subprocess_crash() -> None:  # pragma: no cover - kills the process
 # ----------------------------------------------------------------------
 # Server side
 # ----------------------------------------------------------------------
+@dataclass(slots=True, eq=False)
+class _Live:
+    """One session of the open serve, as the server tracks it.
+
+    ``report`` accumulates the frames streamed so far and their
+    completion stamps; ``checkpoint`` is the latest one a worker
+    shipped back (``None`` before the first frame); ``shipped`` is set
+    once the hosting worker holds the full descriptor, so later ticks
+    send only the id.
+    """
+
+    session: StreamSession
+    report: StreamReport
+    checkpoint: SessionCheckpoint | None = None
+    shipped: bool = False
+
+
+def _new_report(session: StreamSession) -> StreamReport:
+    return StreamReport(scene=session.scene, trajectory=session.trajectory.kind)
+
+
 class StreamServer:
     """Serve N concurrent stream sessions over a worker pool.
 
@@ -611,10 +634,6 @@ class StreamServer:
         self._n_workers = max(workers, 1)
         self._executors: list[ProcessPoolExecutor] = []
         self._local_states: list[_WorkerState] = []
-        #: Per-session dispatch counts of the last ``serve`` call (how
-        #: many tick payloads named the session) — the regression meter
-        #: for finished-session dispatch.
-        self.dispatch_counts: dict[str, int] = {}
         #: Worker respawns performed during the last ``serve``.
         self.recoveries: int = 0
         #: Checkpoint migrations executed during the last ``serve``.
@@ -623,18 +642,10 @@ class StreamServer:
         #: ``serve`` (frames attributed to the rendering worker, exact
         #: under migration).
         self.worker_busy_seconds: dict[int, float] = {}
-        #: Per-session simulated completion stamp of each frame — the
-        #: rendering worker's cumulative busy seconds when the frame
-        #: finished.  Unlike a frame's own ``sim_seconds`` this *does*
-        #: depend on placement (queueing behind co-scheduled sessions),
-        #: so it is the response-time metric the placement study
-        #: compares across policies.
-        self.frame_completions: dict[str, list[float]] = {}
-        # Incremental-serving state (between begin() and finish()).
+        # Incremental-serving state (between begin() and finish()):
+        # one entry per live session, in submission order.
         self._scheduler: StreamScheduler | None = None
-        self._reports: dict[str, StreamReport] = {}
-        self._checkpoints: dict[str, SessionCheckpoint] = {}
-        self._shipped: set[str] = set()
+        self._live: dict[str, _Live] = {}
         self._steps = 0
 
     # -- lifecycle ------------------------------------------------------
@@ -654,18 +665,19 @@ class StreamServer:
     def _ensure_pool(self) -> None:
         if self.local:
             while len(self._local_states) < self._n_workers:
-                self._local_states.append(
-                    _WorkerState(
-                        bundle_cache_size=self.bundle_cache_size,
-                        content=self.content_cache,
-                        content_parent=self._node_tier,
-                        bundle_builder=self._bundle_builder,
-                        models=self.models,
-                    )
-                )
+                self._local_states.append(self._new_local_state())
             return
         while len(self._executors) < self.workers:
             self._executors.append(ProcessPoolExecutor(max_workers=1))
+
+    def _new_local_state(self) -> _WorkerState:
+        return _WorkerState(
+            bundle_cache_size=self.bundle_cache_size,
+            content=self.content_cache,
+            content_parent=self._node_tier,
+            bundle_builder=self._bundle_builder,
+            models=self.models,
+        )
 
     # -- scheduling -----------------------------------------------------
     @staticmethod
@@ -692,7 +704,7 @@ class StreamServer:
     @property
     def n_queued(self) -> int:
         """Sessions waiting in the admission queue."""
-        return len(self._scheduler.queued) if self.serving else 0
+        return self._scheduler.n_queued if self.serving else 0
 
     @property
     def busy_makespan(self) -> float:
@@ -713,8 +725,8 @@ class StreamServer:
         if self.serving:
             raise ValidationError("a serve is already open on this server")
         sessions = list(sessions or [])
-        ids = [s.session_id for s in sessions]
-        if len(set(ids)) != len(ids):
+        live = {s.session_id: _Live(s, _new_report(s)) for s in sessions}
+        if len(live) != len(sessions):
             raise ValidationError("session ids must be unique")
         for session in sessions:
             check_servable(session, self.models)
@@ -732,35 +744,22 @@ class StreamServer:
             rebalance_threshold=self.rebalance_threshold,
             **kwargs,
         )
-        self._reports = {
-            s.session_id: StreamReport(
-                scene=s.scene, trajectory=s.trajectory.kind
-            )
-            for s in sessions
-        }
-        self._checkpoints = {}
-        self._shipped = set()
+        self._live = live
         self._steps = 0
-        self.dispatch_counts = {s.session_id: 0 for s in sessions}
         self.recoveries = 0
         self.migrations = []
-        self.frame_completions = {s.session_id: [] for s in sessions}
         self.worker_busy_seconds = {}
 
     def submit(self, session: StreamSession) -> None:
         """Add a session to the open serve (admission rules apply)."""
         if not self.serving:
             raise ValidationError("submit requires an open serve (begin first)")
-        if session.session_id in self._reports:
+        if session.session_id in self._live:
             raise ValidationError(
                 f"session id '{session.session_id}' is already being served"
             )
         check_servable(session, self.models)
-        self._reports[session.session_id] = StreamReport(
-            scene=session.scene, trajectory=session.trajectory.kind
-        )
-        self.dispatch_counts[session.session_id] = 0
-        self.frame_completions[session.session_id] = []
+        self._live[session.session_id] = _Live(session, _new_report(session))
         self._scheduler.add_session(session)
 
     def step(self) -> TickResult:
@@ -768,7 +767,9 @@ class StreamServer:
         admitted session, recover crashes, apply rebalancing.
 
         Returns the tick's merged :class:`TickResult` (empty when
-        every session has drained — the caller's stop signal).
+        every session has drained — the caller's stop signal).  The
+        merged result carries no checkpoints: each session's latest
+        one is kept on its server entry instead.
         """
         if not self.serving:
             raise ValidationError("step requires an open serve (begin first)")
@@ -778,14 +779,17 @@ class StreamServer:
             return TickResult()
         self._inject_faults(self._steps, assignments)
         results = self._run_tick(assignments)
+        live = self._live
+        busy = scheduler.busy_seconds
         for tick_result in results:
             for session_id, record in tick_result.frames:
-                self._reports[session_id].frames.append(record)
+                report = live[session_id].report
+                report.frames.append(record)
                 scheduler.observe_frame(
                     session_id, record.sim_seconds, detail=record.detail
                 )
-                self.frame_completions[session_id].append(
-                    scheduler.busy_seconds[scheduler.worker_of(session_id)]
+                report.completions.append(
+                    busy[scheduler.worker_of(session_id)]
                 )
             for session_id in tick_result.done:
                 scheduler.mark_done(session_id)
@@ -801,7 +805,8 @@ class StreamServer:
 
         Sessions are reported in submission order; a session migrated
         away with :meth:`extract_session` is reported by the server it
-        migrated *to* (its report travels with it).
+        migrated *to* (its report, completion stamps included, travels
+        with it).
         """
         if not self.serving:
             raise ValidationError("finish requires an open serve (begin first)")
@@ -809,17 +814,15 @@ class StreamServer:
         results = [
             SessionResult(
                 session_id=session_id,
-                scene=report.scene,
+                scene=entry.report.scene,
                 worker=scheduler.worker_of(session_id),
-                report=report,
+                report=entry.report,
             )
-            for session_id, report in self._reports.items()
+            for session_id, entry in self._live.items()
         ]
         self.worker_busy_seconds = dict(scheduler.busy_seconds)
         self._scheduler = None
-        self._reports = {}
-        self._checkpoints = {}
-        self._shipped = set()
+        self._live = {}
         return results
 
     # -- cross-server migration ----------------------------------------
@@ -835,21 +838,13 @@ class StreamServer:
         """
         if not self.serving:
             raise ValidationError("extract requires an open serve")
-        if session_id not in self._reports:
-            raise ValidationError(f"unknown session '{session_id}'")
-        scheduler = self._scheduler
-        admitted = (
-            session_id not in scheduler.queued
-            and scheduler.worker_of(session_id) >= 0
-        )
-        worker = scheduler.worker_of(session_id) if admitted else -1
-        session = scheduler.remove_session(session_id)
-        if admitted:
-            self._dispatch_drop(worker, [session_id])
-        self._shipped.discard(session_id)
-        checkpoint = self._checkpoints.pop(session_id, None)
-        report = self._reports.pop(session_id)
-        return session, checkpoint, report
+        entry = self._entry(session_id)
+        del self._live[session_id]
+        worker = self._scheduler.worker_of(session_id)  # -1: still queued
+        self._scheduler.remove_session(session_id)
+        if worker >= 0:
+            self._call(worker, "drop_sessions", [session_id])
+        return entry.session, entry.checkpoint, entry.report
 
     def inject_session(
         self,
@@ -868,7 +863,7 @@ class StreamServer:
         """
         if not self.serving:
             raise ValidationError("inject requires an open serve")
-        if session.session_id in self._reports:
+        if session.session_id in self._live:
             raise ValidationError(
                 f"session id '{session.session_id}' is already being served"
             )
@@ -880,20 +875,15 @@ class StreamServer:
                 f"detail={session.detail})"
             )
         if report is None:
-            report = StreamReport(
-                scene=session.scene, trajectory=session.trajectory.kind
-            )
+            report = _new_report(session)
         frames_done = (
             checkpoint.next_frame if checkpoint is not None else len(report.frames)
         )
         worker = self._scheduler.attach_session(session, frames_done=frames_done)
-        self._reports[session.session_id] = report
-        self.dispatch_counts.setdefault(session.session_id, 0)
-        self.frame_completions.setdefault(session.session_id, [])
-        if checkpoint is not None:
-            self._checkpoints[session.session_id] = checkpoint
-        self._dispatch_restore(worker, [(session, checkpoint)])
-        self._shipped.add(session.session_id)
+        self._live[session.session_id] = _Live(
+            session, report, checkpoint, shipped=True
+        )
+        self._call(worker, "restore_sessions", [(session, checkpoint)])
         return worker
 
     def remaining_cost(self) -> float:
@@ -912,17 +902,15 @@ class StreamServer:
         if not self.serving:
             return []
         scheduler = self._scheduler
-        out = []
-        for w in range(scheduler.workers):
-            for session in scheduler.active_on(w):
-                left = scheduler.frames_done(session.session_id)
-                left = session.frame_budget - left
-                out.append(
-                    (
-                        session.session_id,
-                        max(left, 0) * scheduler.frame_estimate(session),
-                    )
-                )
+        out = [
+            (
+                session.session_id,
+                max(session.frame_budget - scheduler.frames_done(session.session_id), 0)
+                * scheduler.frame_estimate(session),
+            )
+            for w in range(scheduler.workers)
+            for session in scheduler.active_on(w)
+        ]
         return sorted(out, key=lambda item: (-item[1], item[0]))
 
     def active_scenes(self) -> set[str]:
@@ -939,12 +927,17 @@ class StreamServer:
     # -- flow control (gateway backpressure) ----------------------------
     def has_session(self, session_id: str) -> bool:
         """Whether the open serve is tracking ``session_id``."""
-        return self.serving and session_id in self._reports
+        return session_id in self._live
+
+    def _entry(self, session_id: str) -> _Live:
+        entry = self._live.get(session_id)
+        if entry is None:
+            raise ValidationError(f"unknown session '{session_id}'")
+        return entry
 
     def is_done(self, session_id: str) -> bool:
         """Whether a tracked session has exhausted its frame budget."""
-        if not self.has_session(session_id):
-            raise ValidationError(f"unknown session '{session_id}'")
+        self._entry(session_id)
         return self._scheduler.is_done(session_id)
 
     def pause_session(self, session_id: str) -> None:
@@ -956,14 +949,12 @@ class StreamServer:
         keeps ticking.  The session keeps its worker, its admission
         slot, and its crash-recovery registration.
         """
-        if not self.has_session(session_id):
-            raise ValidationError(f"unknown session '{session_id}'")
+        self._entry(session_id)
         self._scheduler.pause_session(session_id)
 
     def resume_session(self, session_id: str) -> None:
         """Re-enable tick dispatch for a paused session (idempotent)."""
-        if not self.has_session(session_id):
-            raise ValidationError(f"unknown session '{session_id}'")
+        self._entry(session_id)
         self._scheduler.resume_session(session_id)
 
     @property
@@ -973,9 +964,7 @@ class StreamServer:
 
     def report_of(self, session_id: str) -> StreamReport:
         """The frames streamed so far for a tracked session."""
-        if not self.has_session(session_id):
-            raise ValidationError(f"unknown session '{session_id}'")
-        return self._reports[session_id]
+        return self._entry(session_id).report
 
     # -- serving --------------------------------------------------------
     def serve(self, sessions: list[StreamSession]) -> list[SessionResult]:
@@ -1008,16 +997,10 @@ class StreamServer:
             # Progress is guaranteed (every tick either renders a frame
             # or retires a session), so this cap only catches scheduler
             # bugs.
-            max_ticks = (
-                sum(s.frame_budget for s in sessions)
-                + len(sessions)
-                + self.max_respawns
-                + 4
-            )
-            for _ in range(max_ticks):
-                if self._scheduler.tick_assignments():
-                    self.step()
-                else:
+            ticks = sum(s.frame_budget + 1 for s in sessions) + self.max_respawns + 4
+            for _ in range(ticks):
+                tick = self.step()
+                if not (tick.frames or tick.done):
                     break
             else:
                 raise SimulationError(
@@ -1029,6 +1012,7 @@ class StreamServer:
             # worker processes behind (the pool restarts lazily on the
             # next serve).
             self._scheduler = None
+            self._live = {}
             self.close()
             raise
 
@@ -1037,21 +1021,20 @@ class StreamServer:
         self, assignments: dict[int, list[StreamSession]]
     ) -> list[TickResult]:
         """Dispatch one tick and gather results, recovering crashes."""
-        shipped = self._shipped
-        checkpoints = self._checkpoints
+        live = self._live
         pending: list[tuple[int, list[StreamSession], Future | TickResult]] = []
         failed: dict[int, list[list[StreamSession]]] = {}
         for w in sorted(assignments):
             for batch in self._scene_batches(assignments[w]):
-                payload: list[StreamSession | str] = [
-                    s if s.session_id not in shipped else s.session_id
-                    for s in batch
-                ]
+                payload: list[StreamSession | str] = []
                 for s in batch:
-                    shipped.add(s.session_id)
-                    self.dispatch_counts[s.session_id] += 1
+                    entry = live[s.session_id]
+                    payload.append(s.session_id if entry.shipped else s)
+                    entry.shipped = True
                 try:
-                    pending.append((w, batch, self._dispatch(w, payload)))
+                    pending.append(
+                        (w, batch, self._dispatch(w, "render_tick", payload))
+                    )
                 except BrokenProcessPool:
                     # A pool already marked broken rejects the submit
                     # itself; queue the batch for post-recovery retry.
@@ -1064,10 +1047,10 @@ class StreamServer:
             except BrokenProcessPool:
                 failed.setdefault(w, []).append(batch)
                 continue
-            # Fold checkpoints in immediately: if a *later* batch of the
+            # Keep checkpoints immediately: if a *later* batch of the
             # same worker crashed, recovery must replay this batch's
             # sessions from their post-tick state, not last tick's.
-            checkpoints.update(result.checkpoints)
+            self._keep_checkpoints(result)
             results.append(result)
         for w, batches in sorted(failed.items()):
             self._recover_worker(w)
@@ -1078,24 +1061,35 @@ class StreamServer:
                 # repeat crash during the retry re-enters recovery,
                 # bounded by the respawn budget.
                 while True:
-                    for s in batch:
-                        self.dispatch_counts[s.session_id] += 1
                     try:
-                        retry = self._dispatch(w, [s.session_id for s in batch])
-                        result = (
-                            retry.result() if isinstance(retry, Future) else retry
+                        result = self._call(
+                            w, "render_tick", [s.session_id for s in batch]
                         )
                         break
                     except BrokenProcessPool:
                         self._recover_worker(w)
-                checkpoints.update(result.checkpoints)
+                self._keep_checkpoints(result)
                 results.append(result)
         return results
 
-    def _dispatch(self, worker: int, batch: list[StreamSession | str]):
+    def _keep_checkpoints(self, result: TickResult) -> None:
+        """Make each rendered session's new checkpoint its latest."""
+        live = self._live
+        for session_id, checkpoint in result.checkpoints.items():
+            live[session_id].checkpoint = checkpoint
+
+    def _dispatch(self, worker: int, method: str, *args):
+        """Run a :class:`_WorkerState` method on ``worker``: an
+        in-process state answers at once, a process worker with a
+        Future."""
         if self.local:
-            return self._local_states[worker].render_tick(batch)
-        return self._executors[worker].submit(_subprocess_render_tick, batch)
+            return getattr(self._local_states[worker], method)(*args)
+        return self._executors[worker].submit(_subprocess_call, method, *args)
+
+    def _call(self, worker: int, method: str, *args):
+        """:meth:`_dispatch`, waiting for the answer."""
+        item = self._dispatch(worker, method, *args)
+        return item.result() if isinstance(item, Future) else item
 
     # -- fault handling -------------------------------------------------
     def _inject_faults(
@@ -1127,48 +1121,34 @@ class StreamServer:
             # A crashed worker loses its worker-tier cache along with
             # everything else; the node tier survives on the server, so
             # replayed sessions re-warm from it.
-            self._local_states[worker] = _WorkerState(
-                bundle_cache_size=self.bundle_cache_size,
-                content=self.content_cache,
-                content_parent=self._node_tier,
-                bundle_builder=self._bundle_builder,
-                models=self.models,
-            )
+            self._local_states[worker] = self._new_local_state()
         else:
             self._executors[worker].shutdown(wait=False)
             self._executors[worker] = ProcessPoolExecutor(max_workers=1)
-        payload = [
-            (session, self._checkpoints.get(session.session_id))
+        entries = [
+            self._live[session.session_id]
             for session in self._scheduler.active_on(worker)
         ]
-        if payload:
-            self._dispatch_restore(worker, payload)
-            self._shipped.update(session.session_id for session, _ in payload)
+        if entries:
+            self._call(
+                worker,
+                "restore_sessions",
+                [(entry.session, entry.checkpoint) for entry in entries],
+            )
+            for entry in entries:
+                entry.shipped = True
 
     def _apply_migrations(self) -> None:
         for migration in self._scheduler.rebalance():
-            session = self._scheduler.session(migration.session_id)
-            ckpt = self._checkpoints.get(migration.session_id)
-            self._dispatch_drop(migration.src, [migration.session_id])
-            self._dispatch_restore(migration.dst, [(session, ckpt)])
-            self._shipped.add(migration.session_id)
+            entry = self._live[migration.session_id]
+            self._call(migration.src, "drop_sessions", [migration.session_id])
+            self._call(
+                migration.dst,
+                "restore_sessions",
+                [(entry.session, entry.checkpoint)],
+            )
+            entry.shipped = True
             self.migrations.append(migration)
-
-    def _dispatch_restore(
-        self,
-        worker: int,
-        payload: list[tuple[StreamSession, SessionCheckpoint | None]],
-    ) -> None:
-        if self.local:
-            self._local_states[worker].restore_sessions(payload)
-            return
-        self._executors[worker].submit(_subprocess_restore, payload).result()
-
-    def _dispatch_drop(self, worker: int, session_ids: list[str]) -> None:
-        if self.local:
-            self._local_states[worker].drop_sessions(session_ids)
-            return
-        self._executors[worker].submit(_subprocess_drop, session_ids).result()
 
     def _reset_workers(self) -> None:
         if self.local:

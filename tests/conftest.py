@@ -38,6 +38,25 @@ def exact_renders(monkeypatch):
 
 
 @pytest.fixture
+def dispatches(monkeypatch):
+    """Session id -> how many tick payloads named the session during
+    the test (a spy on in-process workers' ``render_tick``)."""
+    from collections import Counter
+
+    from repro.stream.server import _WorkerState
+
+    counts = Counter()
+    render_tick = _WorkerState.render_tick
+
+    def counting(self, sessions):
+        counts.update(s if isinstance(s, str) else s.session_id for s in sessions)
+        return render_tick(self, sessions)
+
+    monkeypatch.setattr(_WorkerState, "render_tick", counting)
+    return counts
+
+
+@pytest.fixture
 def irss_chunks(monkeypatch):
     """``count(projected, lists=None, **kwargs)`` renders once through
     the vectorized IRSS backend at the current chunk budget and returns

@@ -223,3 +223,9 @@ class TestShardTiming:
         np.testing.assert_array_equal(base.image, sharded.image)
         assert sharded.compute_seconds <= base.compute_seconds
         assert sharded.memory_seconds == base.memory_seconds
+        # The report is the slowest shard's engine: its cycles are the
+        # ones compute_seconds was timed from.
+        assert sharded.tile_engine.total_cycles < base.tile_engine.total_cycles
+        assert sharded.compute_seconds / sharded.tile_engine.total_cycles == (
+            pytest.approx(base.compute_seconds / base.tile_engine.total_cycles)
+        )

@@ -483,7 +483,7 @@ def test_finished_sessions_leave_no_worker_state():
             results = server.serve(_digest_sessions(n=n, n_frames=3))
             assert len(results) == n
             (state,) = server._local_states
-            assert not state.streams and not state.budgets and not state.views
+            assert not state.hosted
             assert live_streams() == 0
 
 

@@ -322,12 +322,12 @@ class TestBundleCache:
         rendered = []
         for _ in range(12):
             result = state.render_tick(
-                [session if not state.streams else "sweep"]
+                [session if not state.hosted else "sweep"]
             )
             rendered.extend(record for _, record in result.frames)
             assert len(state.bundles) <= 2
         assert len(rendered) == 12
-        assert not state.streams  # released once it reported done
+        assert not state.hosted  # released once it reported done
         # The sweep really visited more rungs than the cache can hold.
         assert len({r.detail for r in rendered}) > 2
 
@@ -524,14 +524,14 @@ class TestQoSServing:
         with pytest.raises(ValidationError, match="fixed"):
             lopsided.miss_reduction
 
-    def test_scheduler_sees_per_detail_estimates(self):
+    def test_scheduler_sees_per_detail_estimates(self, dispatches):
         """Adaptive sessions re-key the scheduler's estimate table."""
         sessions = _qos_sessions(n_frames=8)
         with StreamServer(workers=0, placement="load") as server:
             server.serve(sessions)
         # No direct hook into the internal scheduler after serve, but
         # dispatch accounting must show every frame was served.
-        assert server.dispatch_counts == {"heavy": 8, "light": 8}
+        assert dispatches == {"heavy": 8, "light": 8}
 
 
 class TestShardEscalation:

@@ -66,7 +66,7 @@ def test_admission_control_queues_beyond_max_inflight():
     sessions = _skewed_mix()
     scheduler = LoadAwareScheduler(sessions, workers=2, max_inflight=2)
     assert scheduler.inflight == 2
-    assert len(scheduler.queued) == 2
+    assert scheduler.n_queued == 2
     assignments = scheduler.tick_assignments()
     assert sum(len(v) for v in assignments.values()) == 2
     # Finishing one admitted session admits exactly one queued session.
@@ -74,7 +74,7 @@ def test_admission_control_queues_beyond_max_inflight():
     admitted = scheduler.mark_done(running)
     assert len(admitted) == 1
     assert scheduler.inflight == 2
-    assert len(scheduler.queued) == 1
+    assert scheduler.n_queued == 1
 
 
 def test_completion_drops_session_from_ticks():

@@ -3,6 +3,8 @@ admission control, worker-crash recovery, the incremental serving
 protocol, and the chaos matrix (crash at every frame index x placement
 x QoS mode)."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -146,32 +148,27 @@ def test_duplicate_session_ids_rejected():
         StreamServer(workers=-1)
 
 
-def test_finished_sessions_stop_being_dispatched():
+def test_finished_sessions_stop_being_dispatched(dispatches):
     """A budget-exhausted session costs no further tick round-trips."""
     sessions = _sessions(n_frames=6, budgets=[2, 6])
     with StreamServer(workers=0) as server:
         results = server.serve(sessions)
-        counts = dict(server.dispatch_counts)
     assert [r.report.n_frames for r in results] == [2, 6]
     # One dispatch per rendered frame: completion rides back with the
     # final frame, so the short session is never named again.
-    assert counts == {"jitter": 2, "orbit": 6}
+    assert dispatches == {"jitter": 2, "orbit": 6}
 
 
 def test_stale_session_id_raises_validation_error():
-    """A session id surviving a reset (or a half-registered stream) is a
+    """An unknown session id, or one surviving a reset, is a
     ValidationError, never a bare KeyError."""
     session = _sessions(n_frames=2)[0]
     state = _WorkerState()
+    with pytest.raises(ValidationError, match="before registration"):
+        state.render_tick([session.session_id])
     state.render_tick([session])
     state.reset()
-    with pytest.raises(ValidationError):
-        state.render_tick([session.session_id])
-    # Half-registered: the stream survived but its budget did not (the
-    # recovery-path hazard) — same error, routed through registration.
-    state.render_tick([session])
-    state.budgets.pop(session.session_id)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="before registration"):
         state.render_tick([session.session_id])
 
 
@@ -440,6 +437,53 @@ def test_extract_inject_moves_a_session_byte_identically():
         assert _frame_evidence(ref.report) == _frame_evidence(
             results[ref.session_id].report
         )
+
+
+def _held(server, session_ids):
+    """Names of the containers on ``server``, its scheduler and its
+    in-process workers that still hold one of ``session_ids``."""
+    holders = [("server", server)]
+    holders += [("worker", state) for state in server._local_states]
+    if server._scheduler is not None:
+        holders.append(("scheduler", server._scheduler))
+    return sorted(
+        f"{owner}.{name}"
+        for owner, holder in holders
+        for name, value in vars(holder).items()
+        if isinstance(value, (dict, set, list, deque))
+        and any(session_id in value for session_id in session_ids)
+    )
+
+
+def test_lifecycle_paths_leave_no_session_entries():
+    """Counted, not timed: after begin/step/finish and a mid-stream
+    extract/inject, neither server nor any of their workers holds an
+    entry for a session it no longer serves, and the moved session's
+    completion stamps travel with its report."""
+    sessions = _sessions(n_frames=4)
+    ids = {s.session_id for s in sessions}
+    src = StreamServer(workers=2, local=True, placement="rr")
+    dst = StreamServer(workers=0)
+    try:
+        src.begin(sessions)
+        dst.begin([])
+        src.step()
+        moved = src.extract_session("jitter")
+        assert _held(src, {"jitter"}) == []
+        assert "server._live" in _held(src, {"orbit"})
+        dst.inject_session(*moved)
+        for server in (src, dst):
+            while server.n_active:
+                server.step()
+        src_results, dst_results = src.finish(), dst.finish()
+    finally:
+        src.close()
+        dst.close()
+    assert _held(src, ids) == [] and _held(dst, ids) == []
+    assert [r.session_id for r in src_results] == ["orbit"]
+    assert [r.session_id for r in dst_results] == ["jitter"]
+    for result in src_results + dst_results:
+        assert len(result.report.completions) == result.report.n_frames == 4
 
 
 def test_incremental_protocol_validation():
