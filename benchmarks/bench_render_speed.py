@@ -1,6 +1,6 @@
 """Render-engine speed: reference loops vs. the vectorized backend.
 
-Times both rasterizer dataflows (PFS and IRSS) under each registered
+Times both rasterizer dataflows (PFS and IRSS) under each
 backend on the catalog's evaluation scenes and writes
 ``BENCH_render_speed.json`` at the repo root (instances/sec,
 pixels/sec, per-dataflow and combined speedups), so the perf

@@ -9,13 +9,10 @@ responsive while the printed tables use full detail).
 Experiment outputs are cached per session because several figures
 share the same underlying sweep (Fig. 4/5, Fig. 14/15, Tab. VI/VII).
 
-The rendering engine behind every experiment is selectable:
-
-    pytest benchmarks --render-backend=vectorized
-
-(or the ``REPRO_RENDER_BACKEND`` environment variable).  All backends
-are pixel-exact, so the printed tables are identical — only the
-wall-clock changes.
+Every experiment renders with the default ``vectorized`` backend.  It
+is pixel-exact against the scalar ``reference`` loops, so the printed
+tables are the ones the loops would give; ``bench_render_speed.py``
+times both backends and checks them against each other per scene.
 """
 
 from __future__ import annotations
@@ -23,29 +20,6 @@ from __future__ import annotations
 import pytest
 
 from repro.harness import run_experiment
-from repro.render import set_default_backend
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--render-backend",
-        action="store",
-        default=None,
-        help="rendering engine for all experiments "
-        "(reference, vectorized; default: process default)",
-    )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def render_backend(request):
-    """Apply --render-backend to the whole benchmark session."""
-    name = request.config.getoption("--render-backend")
-    if name is None:
-        yield None
-        return
-    previous = set_default_backend(name)
-    yield name
-    set_default_backend(previous)
 
 
 @pytest.fixture(scope="session")

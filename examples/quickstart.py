@@ -7,10 +7,9 @@ Builds a small random Gaussian cloud, renders it with
 3. the GBU hardware model (fp16 datapath, cycle + energy accounting),
 
 and prints the equivalence/speedup numbers the paper is built on.
-Rendering goes through the pluggable backend registry
-(`repro.render.backends`): the scoped `use_backend("vectorized")`
-switch makes every render below use the instance-batched engine, which
-is pixel-exact against the scalar reference loops.
+Every render takes `backend=` (`repro.render.backends`).  The default,
+"vectorized", is the instance-batched engine; `backend="reference"`
+runs the scalar loops, and the two give bit-identical images.
 
 Run:  PYTHONPATH=src python examples/quickstart.py
 """
@@ -22,11 +21,9 @@ from repro import (
     GaussianCloud,
     GBUConfig,
     GBUDevice,
-    list_backends,
     project,
     render_irss,
     render_reference,
-    use_backend,
 )
 from repro.metrics.image import psnr
 
@@ -38,29 +35,27 @@ def main() -> None:
         eye=[0.5, 0.4, -3.0], target=[0, 0, 0], width=160, height=120
     )
 
-    backends = ", ".join(f"{k} ({v})" for k, v in list_backends().items())
-    print(f"registered backends: {backends}\n")
-
     projected = project(cloud, camera)
     print(f"visible Gaussians: {len(projected)} / {len(cloud)}")
 
-    with use_backend("vectorized"):
-        # 1. Reference: Parallel Fragment Shading (tile-lockstep).
-        reference = render_reference(projected)
-        print(
-            f"PFS     : {reference.stats.fragments_shaded:>9,} fragments shaded, "
-            f"{reference.stats.significant_fraction:.1%} significant"
-        )
+    # 1. Reference: Parallel Fragment Shading (tile-lockstep).
+    reference = render_reference(projected)
+    loops = render_reference(projected, backend="reference")
+    print(
+        f"PFS     : {reference.stats.fragments_shaded:>9,} fragments shaded, "
+        f"{reference.stats.significant_fraction:.1%} significant, "
+        f"scalar loops bit-identical: {np.array_equal(loops.image, reference.image)}"
+    )
 
-        # 2. IRSS: row-sequential shading with compute sharing + skipping.
-        irss = render_irss(projected)
-        max_diff = np.abs(irss.image - reference.image).max()
-        print(
-            f"IRSS    : {irss.stats.fragments_shaded:>9,} fragments shaded "
-            f"(skip rate {irss.stats.skip_rate:.1%}), "
-            f"{irss.stats.flops_per_fragment:.2f} Eq.7 FLOPs/fragment, "
-            f"max image diff vs PFS = {max_diff:.2e}"
-        )
+    # 2. IRSS: row-sequential shading with compute sharing + skipping.
+    irss = render_irss(projected)
+    max_diff = np.abs(irss.image - reference.image).max()
+    print(
+        f"IRSS    : {irss.stats.fragments_shaded:>9,} fragments shaded "
+        f"(skip rate {irss.stats.skip_rate:.1%}), "
+        f"{irss.stats.flops_per_fragment:.2f} Eq.7 FLOPs/fragment, "
+        f"max image diff vs PFS = {max_diff:.2e}"
+    )
 
     # 3. GBU: the hardware model (D&B + tile engine + reuse cache, fp16).
     # The feature configuration (Tab. V axes) and the render backend are

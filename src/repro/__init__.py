@@ -50,12 +50,7 @@ from repro.gaussians import (
     render_reference,
 )
 from repro.gpu import GPUTimingModel, ORIN_NX
-from repro.render import (
-    get_backend,
-    list_backends,
-    set_default_backend,
-    use_backend,
-)
+from repro.render import get_backend
 from repro.scenes import build_scene, scene_names
 
 __version__ = "1.0.0"
@@ -80,9 +75,6 @@ __all__ = [
     "GPUTimingModel",
     "ORIN_NX",
     "get_backend",
-    "list_backends",
-    "set_default_backend",
-    "use_backend",
     "build_scene",
     "scene_names",
     "__version__",

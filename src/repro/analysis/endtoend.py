@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.config import DEFAULT_BACKEND
 from repro.core.gbu import GBUConfig, GBUDevice, GBUReport
 from repro.core.irss import render_irss
 from repro.core.pipeline import SYNC_SECONDS, PipelinedFrame
@@ -52,7 +53,7 @@ class SystemConfig:
     def uses_gbu(self) -> bool:
         return self.name.startswith("gbu")
 
-    def gbu_config(self, backend: str | None = None) -> GBUConfig:
+    def gbu_config(self, backend: str = DEFAULT_BACKEND) -> GBUConfig:
         if not self.uses_gbu:
             raise ValidationError(f"{self.name} has no GBU")
         return GBUConfig(
@@ -106,7 +107,7 @@ def evaluate_scene(
     frame: int = 0,
     detail: float = 1.0,
     bundle: SceneBundle | None = None,
-    backend: str | None = None,
+    backend: str = DEFAULT_BACKEND,
 ) -> SystemResult:
     """Evaluate one configuration on one scene frame.
 
@@ -124,10 +125,9 @@ def evaluate_scene(
         Reuse an already-built scene bundle (avoids regeneration when
         sweeping configurations).
     backend:
-        Rendering engine for the functional renders ("reference",
-        "vectorized", ...); pixel-exact either way, so results are
-        unchanged — only wall-clock differs.  ``None`` uses the
-        process default (see :mod:`repro.render.backends`).
+        Rendering engine for the functional renders ("reference" or
+        "vectorized"); pixel-exact either way, so results are
+        unchanged — only wall-clock differs.
     """
     if isinstance(config, str):
         config = SystemConfig(config)
@@ -216,7 +216,7 @@ def evaluate_all_configs(
     spec_or_name: SceneSpec | str,
     frame: int = 0,
     detail: float = 1.0,
-    backend: str | None = None,
+    backend: str = DEFAULT_BACKEND,
 ) -> dict[str, SystemResult]:
     """Run every Tab. V configuration on one scene, reusing the build."""
     spec = CATALOG[spec_or_name] if isinstance(spec_or_name, str) else spec_or_name

@@ -19,7 +19,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from repro.config import DEFAULT_CHUNK_SIZE, DEFAULT_SETTINGS, RenderSettings
+from repro.config import (
+    DEFAULT_BACKEND,
+    DEFAULT_CHUNK_SIZE,
+    DEFAULT_SETTINGS,
+    RenderSettings,
+)
 from repro.core.dnb import reuse_distance_table, run_dnb
 from repro.core.irss import IRSSRenderResult, render_irss
 from repro.core.pipeline import chunk_count, chunked_overlap_seconds
@@ -37,6 +42,7 @@ from repro.gaussians.sorting import RenderLists, build_render_lists
 from repro.gpu.calibration import DEFAULT_GBU_CALIBRATION, GBUCalibration
 from repro.gpu.specs import GBU_SPEC, GBUSpec, GPUSpec, ORIN_NX
 from repro.gpu.workload import ScaleFactors
+from repro.render.backends import get_backend
 
 
 @dataclass(frozen=True)
@@ -64,9 +70,8 @@ class GBUConfig:
         point); off inserts a per-tile barrier (ablation).
     backend:
         Rendering engine used for the functional IRSS render
-        ("reference", "vectorized", ...).  Every backend is
-        pixel-identical, so the choice only affects simulation
-        wall-clock.  ``None`` uses the process default.
+        ("reference" or "vectorized").  Both are pixel-identical, so
+        the choice only affects simulation wall-clock.
     """
 
     use_dnb: bool = True
@@ -76,26 +81,13 @@ class GBUConfig:
     chunk_size: int = DEFAULT_CHUNK_SIZE
     interleaved_rows: bool = True
     cross_tile_overlap: bool = True
-    backend: str | None = None
+    backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
         if self.cache_policy not in POLICIES:
             raise ValidationError(f"unknown cache policy '{self.cache_policy}'")
-        if self.backend is not None:
-            # Fail at configuration time with the registered-name list
-            # instead of mid-render.  Imported here to keep the device
-            # model importable without the backend registry.
-            from repro.render.backends import get_backend
-
-            get_backend(self.backend)
-
-    def resolved_backend_name(self) -> str:
-        """The backend name a device with this config renders with."""
-        if self.backend is not None:
-            return self.backend
-        from repro.render.backends import default_backend
-
-        return default_backend()
+        # Fail at configuration time, not mid-render.
+        get_backend(self.backend)
 
 
 @dataclass

@@ -9,10 +9,10 @@ significant fragments; everything outside is skipped.
 Three implementations are provided:
 
 * :func:`render_irss` — the production entry point; dispatches to a
-  registered rendering backend (see :mod:`repro.render.backends`).
-  The default "reference" backend is :func:`render_irss_loop`; the
+  rendering backend (see :mod:`repro.render.backends`).  The default
   "vectorized" backend batches instances across tiles and is an order
-  of magnitude faster with bit-identical output.
+  of magnitude faster than the "reference" backend,
+  :func:`render_irss_loop`, with bit-identical output.
 * :func:`render_irss_loop` — per instance, the per-row intervals come
   from the closed-form oracle (:meth:`IRSSTransform.row_interval`) and
   fragments are evaluated with the shared-intermediate arithmetic
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import DEFAULT_SETTINGS, FLOPS, RenderSettings
+from repro.config import DEFAULT_BACKEND, DEFAULT_SETTINGS, FLOPS, RenderSettings
 from repro.errors import RenderError
 from repro.gaussians.projection import Projected2D
 from repro.gaussians.sorting import RenderLists, build_render_lists
@@ -186,7 +186,7 @@ def render_irss(
     settings: RenderSettings = DEFAULT_SETTINGS,
     transform: IRSSTransform | None = None,
     fp16: bool = False,
-    backend: str | None = None,
+    backend: str = DEFAULT_BACKEND,
 ) -> IRSSRenderResult:
     """Render with the IRSS dataflow through a selectable backend.
 
@@ -208,14 +208,13 @@ def render_irss(
         shaded fragment set may differ slightly from fp64 (this is the
         <0.1 PSNR effect of Tab. IV).
     backend:
-        Rendering engine name ("reference", "vectorized", ...); every
-        backend is pixel-exact, so this only selects an execution
-        strategy.  ``None`` uses the process default (see
+        Rendering engine name ("reference" or "vectorized"); both are
+        pixel-exact, so this only selects an execution strategy (see
         :mod:`repro.render.backends`).
     """
-    from repro.render.backends import resolve_backend
+    from repro.render.backends import get_backend
 
-    return resolve_backend(backend).render_irss(
+    return get_backend(backend).render_irss(
         projected, lists=lists, settings=settings, transform=transform, fp16=fp16
     )
 

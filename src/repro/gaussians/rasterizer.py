@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import DEFAULT_SETTINGS, FLOPS, RenderSettings
+from repro.config import DEFAULT_BACKEND, DEFAULT_SETTINGS, FLOPS, RenderSettings
 from repro.errors import RenderError
 from repro.gaussians.projection import Projected2D
 from repro.gaussians.sorting import RenderLists, build_render_lists
@@ -92,7 +92,7 @@ def render_reference(
     projected: Projected2D,
     lists: RenderLists | None = None,
     settings: RenderSettings = DEFAULT_SETTINGS,
-    backend: str | None = None,
+    backend: str = DEFAULT_BACKEND,
 ) -> RenderResult:
     """Rasterize with the PFS dataflow through a selectable backend.
 
@@ -105,14 +105,13 @@ def render_reference(
     settings:
         Blending thresholds and background color.
     backend:
-        Rendering engine name ("reference", "vectorized", ...); every
-        backend is pixel-exact, so this only selects an execution
-        strategy.  ``None`` uses the process default (see
+        Rendering engine name ("reference" or "vectorized"); both are
+        pixel-exact, so this only selects an execution strategy (see
         :mod:`repro.render.backends`).
     """
-    from repro.render.backends import resolve_backend
+    from repro.render.backends import get_backend
 
-    return resolve_backend(backend).render_pfs(
+    return get_backend(backend).render_pfs(
         projected, lists=lists, settings=settings
     )
 

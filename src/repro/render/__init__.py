@@ -1,28 +1,19 @@
-"""Pluggable rendering engine: backend registry + vectorized backends.
+"""Rendering engines: the backend table and the vectorized backends.
 
 Quick start::
 
-    from repro.render import get_backend, use_backend
+    from repro.render import get_backend
 
     result = get_backend("vectorized").render_pfs(projected)
-    with use_backend("vectorized"):
-        ...  # every render_reference / render_irss call in scope
 
-See :mod:`repro.render.backends` for the registry contract and
+Every render entry point (``render_reference``, ``render_irss``,
+``GBUConfig``, ``evaluate_scene``, ``streaming_config``) takes
+``backend=``, defaulting to ``"vectorized"``.  See
+:mod:`repro.render.backends` for the table and
 :mod:`repro.render.vectorized` for the instance-batched engine.
 """
 
-from repro.render.backends import (
-    BACKEND_ENV_VAR,
-    RasterizerBackend,
-    default_backend,
-    get_backend,
-    list_backends,
-    register_backend,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
-)
+from repro.render.backends import BACKENDS, RasterizerBackend, get_backend
 from repro.render.vectorized import (
     build_tile_batches,
     render_irss_vectorized,
@@ -30,16 +21,10 @@ from repro.render.vectorized import (
 )
 
 __all__ = [
-    "BACKEND_ENV_VAR",
+    "BACKENDS",
     "RasterizerBackend",
     "build_tile_batches",
-    "default_backend",
     "get_backend",
-    "list_backends",
-    "register_backend",
     "render_irss_vectorized",
     "render_pfs_vectorized",
-    "resolve_backend",
-    "set_default_backend",
-    "use_backend",
 ]

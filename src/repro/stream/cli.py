@@ -24,6 +24,7 @@ import signal
 import sys
 from dataclasses import asdict
 
+from repro.config import DEFAULT_BACKEND
 from repro.core.reuse_cache import POLICIES
 from repro.errors import ValidationError
 from repro.render.backends import get_backend
@@ -129,8 +130,8 @@ def _shared_flags(*groups: str) -> list[argparse.ArgumentParser]:
     )
     parsers["render"].add_argument(
         "--backend",
-        default="vectorized",
-        help="render backend (default: vectorized)",
+        default=DEFAULT_BACKEND,
+        help="render backend (default: %(default)s)",
     )
     parsers["render"].add_argument(
         "--cache-policy",
@@ -395,7 +396,7 @@ RULES = (
     ("target_fps", *SESSION_FIELD_RULES["target_fps"]),
     ("seed", *SESSION_FIELD_RULES["seed"]),
     # An unknown backend raises get_backend's own error, which lists
-    # the registered names.
+    # the known names.
     ("backend", lambda name: get_backend(name) is not None, ""),
     ("shards", lambda n: n >= 1, "{label} must be at least 1"),
     ("pose_quant", lambda q: q >= 0, "{label} cannot be negative"),

@@ -161,13 +161,13 @@ def render_mode_key(
 def render_mode(config: GBUConfig, shards: int) -> tuple:
     """The render mode of one frame rendered on ``shards``.
 
-    Exactly what the exact pipeline's device renders with: the resolved
+    Exactly what the exact pipeline's device renders with: the
     backend and every config knob that changes pixels or compute
     cycles.  The exact and digest pipelines both key frames through
     this one function, so their content keys agree by construction.
     """
     return render_mode_key(
-        config.resolved_backend_name(),
+        config.backend,
         config.fp16,
         shards,
         config.interleaved_rows,

@@ -31,6 +31,7 @@ from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.config import DEFAULT_BACKEND
 from repro.core.gbu import GBUConfig, GBUDevice, GBUReport
 from repro.core.pipeline import SYNC_SECONDS, PipelinedFrame
 from repro.core.reuse_cache import FrameCacheSample
@@ -88,7 +89,7 @@ class FramePipeline(Protocol):
 
 
 def streaming_config(
-    backend: str | None = "vectorized",
+    backend: str = DEFAULT_BACKEND,
     cache_policy: str = "reuse_distance",
     fp16: bool = True,
     use_cache: bool = True,
@@ -97,9 +98,7 @@ def streaming_config(
 
     The D&B engine is off because Rendering Step 2 is served from the
     session's warm binning state; the reuse cache runs in its temporal
-    mode.  The vectorized backend is the serving default (pixel-exact,
-    ~5x faster combined than the reference loops — see
-    ``BENCH_render_speed.json``).
+    mode.
     """
     return GBUConfig(
         use_dnb=False,

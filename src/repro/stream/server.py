@@ -120,6 +120,7 @@ from repro.stream.scheduler import Migration, StreamScheduler, make_scheduler
 from repro.stream.trajectory import TRAJECTORY_KINDS, CameraTrajectory
 
 __all__ = [
+    "MAX_DETAIL",
     "SESSION_FIELD_RULES",
     "ServeSummary",
     "SessionResult",
@@ -192,6 +193,14 @@ def _positive(x) -> bool:
     return math.isfinite(x) and x > 0
 
 
+#: The largest scene detail a session may ask for.  A scene bundle
+#: grows linearly with detail: the largest catalog scene (bicycle,
+#: 2,600 Gaussians, ~0.79 MB at detail 1) builds 41,600 Gaussians in
+#: ~12.6 MB at 16 and renders at 1024x672.  ``detail: 1e9`` would ask
+#: the build for ~790 TB and fail with ``MemoryError``.
+MAX_DETAIL = 16.0
+
+
 #: The checks a session descriptor shares with the ``repro-stream``
 #: flags: field -> (predicate, message).  ``{label}`` is the caller's
 #: name for the field (``--detail`` on the command line, ``'detail'``
@@ -203,7 +212,10 @@ SESSION_FIELD_RULES = {
         lambda scene: isinstance(scene, str) and scene in CATALOG,
         "unknown scene {value!r}; choose from " + ", ".join(sorted(CATALOG)),
     ),
-    "detail": (_positive, "{label} must be positive and finite"),
+    "detail": (
+        lambda detail: _positive(detail) and detail <= MAX_DETAIL,
+        "{label} must be positive, finite and at most " + f"{MAX_DETAIL:g}",
+    ),
     "frames": (
         lambda n: n >= 1,
         "{label} must be at least 1: a session needs at least one frame",

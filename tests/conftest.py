@@ -38,6 +38,25 @@ def exact_renders(monkeypatch):
 
 
 @pytest.fixture
+def no_scene_builds(monkeypatch):
+    """Fail the test if any scene bundle is built: a request that must
+    be refused before it exists allocates nothing."""
+    import repro.scenes.catalog
+    import repro.stream.content_cache
+    import repro.stream.pipeline
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"build_scene{args} called")
+
+    for module in (
+        repro.scenes.catalog,
+        repro.stream.pipeline,
+        repro.stream.content_cache,
+    ):
+        monkeypatch.setattr(module, "build_scene", refuse)
+
+
+@pytest.fixture
 def dispatches(monkeypatch):
     """Session id -> how many tick payloads named the session during
     the test (a spy on in-process workers' ``render_tick``)."""

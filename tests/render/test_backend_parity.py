@@ -22,12 +22,10 @@ from repro.gaussians import Camera, GaussianCloud, build_render_lists, project
 from repro.gaussians.projection import Projected2D
 from repro.gaussians.rasterizer import render_reference, render_reference_loop
 from repro.render import (
+    BACKENDS,
     get_backend,
-    list_backends,
     render_irss_vectorized,
     render_pfs_vectorized,
-    set_default_backend,
-    use_backend,
 )
 from repro.scenes.catalog import build_scene
 
@@ -261,7 +259,9 @@ class TestBinningParity:
 
 class TestRegistry:
     def test_backends_registered(self):
-        assert set(list_backends()) >= {"reference", "vectorized"}
+        assert set(BACKENDS) == {"reference", "vectorized"}
+        for name, backend in BACKENDS.items():
+            assert get_backend(name) is backend
 
     def test_unknown_backend_rejected(self):
         from repro.errors import ValidationError
@@ -280,21 +280,16 @@ class TestRegistry:
         irss_direct = render_irss_vectorized(projected)
         np.testing.assert_array_equal(irss_via.image, irss_direct.image)
 
-    def test_default_backend_override(self):
-        projected = _scene(2, 30)
-        loop = render_reference_loop(projected)
-        previous = set_default_backend("vectorized")
-        try:
-            dispatched = render_reference(projected)
-        finally:
-            set_default_backend(previous)
-        np.testing.assert_array_equal(loop.image, dispatched.image)
+    def test_default_is_vectorized_and_unknown_names_both(self):
+        import inspect
 
-    def test_use_backend_context(self):
-        projected = _scene(4, 30)
-        with use_backend("vectorized") as backend:
-            assert backend.name == "vectorized"
-            result = render_irss(projected)
-        np.testing.assert_array_equal(
-            result.image, render_irss_loop(projected).image
-        )
+        from repro.analysis.endtoend import evaluate_scene
+        from repro.core.gbu import GBUConfig
+        from repro.errors import ValidationError
+
+        assert GBUConfig().backend == "vectorized"
+        default = inspect.signature(evaluate_scene).parameters["backend"].default
+        assert default == "vectorized"
+        with pytest.raises(ValidationError) as exc:
+            GBUConfig(backend="no-such-backend")
+        assert "reference" in str(exc.value) and "vectorized" in str(exc.value)

@@ -156,6 +156,21 @@ class TestErrorExits:
         assert main(SMALL[:-1] + ["-0.5"]) == 2
         assert "--detail" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            SMALL[:-1] + ["1e9"],
+            ["fleet", "--detail", "1e9"],
+            ["calibrate", "--details", "0.5", "1e9"],
+        ],
+    )
+    def test_unbuildable_detail_refused_before_any_build(
+        self, argv, capsys, no_scene_builds
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "at most 16" in err
+
     def test_non_positive_target_fps(self, capsys):
         assert main(SMALL + ["--target-fps", "0"]) == 2
         assert "--target-fps" in capsys.readouterr().err

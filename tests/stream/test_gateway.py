@@ -415,6 +415,28 @@ class TestServing:
 
         run(_with_gateway(scenario))
 
+    def test_unbuildable_detail_hello_gets_error_reply(self, no_scene_builds):
+        """A ``detail`` past ``MAX_DETAIL`` is refused at the hello,
+        before its scene build could raise ``MemoryError``."""
+
+        async def scenario(gateway):
+            client = GatewayClient(gateway.host, gateway.port)
+            await client.connect()
+            await client.send(
+                {
+                    "type": "hello",
+                    "protocol": PROTOCOL_VERSION,
+                    "session": _desc("huge", detail=1e9),
+                }
+            )
+            reply = await client.recv()
+            assert reply["type"] == "error"
+            assert "'detail'" in reply["message"] and "16" in reply["message"]
+            await client.close()
+
+        _, results, _ = run(_with_gateway(scenario))
+        assert results == []
+
     def test_malformed_resume_last_frame_gets_error_reply(self):
         """A non-numeric ``last_frame`` answers with an ``error`` frame
         (not an unhandled-task-exception connection drop)."""
