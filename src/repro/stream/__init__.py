@@ -9,8 +9,8 @@ single-frame renderer:
 * :mod:`repro.stream.binning` — warm-started tile binning that carries
   (tile, Gaussian) instances across frames and regenerates only the
   Gaussians whose tile footprint moved;
-* :mod:`repro.stream.pipeline` — the :class:`FramePipeline` protocol
-  and :class:`FrameStream`, the *exact* per-session pipeline that
+* :mod:`repro.stream.pipeline` — the :class:`FramePipeline` base
+  class and :class:`FrameStream`, the *exact* per-session pipeline that
   renders a trajectory over any catalog scene while persisting binning
   state and the temporal reuse-cache mode of
   :class:`repro.core.reuse_cache.TemporalReuseSimulator`;

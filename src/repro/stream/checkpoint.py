@@ -13,9 +13,10 @@ with byte-identical output:
 * **QoS controller state** — the detail/shard ladder position, so a
   recovered session walks the identical quality trace.
 
-The warm binner is *not* shipped: warm binning is exact, so a cold
-binner reproduces the same render lists and images, it merely reports
-a lower ``BinningStats.reuse_fraction`` on the first recovered frame.
+The warm binner is *not* shipped: the exact stream's ``seek``
+restarts it cold, and warm binning is exact, so a cold binner
+reproduces the same render lists and images; it merely reports a
+lower ``BinningStats.reuse_fraction`` on the first recovered frame.
 
 A checkpoint is an in-memory value: it moves by reference inside a
 process and by pickle to a respawned worker, another node, or the
@@ -165,9 +166,4 @@ def restore_checkpoint(
         # imported cache state belongs to that bundle, and the next
         # frame must flush only on a *real* rung change.
         stream.load_detail(checkpoint.active_detail)
-    binner = getattr(stream, "binner", None)
-    if binner is not None:
-        # Exact pipeline only: warm binning is exact from cold state,
-        # so the binner restarts cold (digest streams have no binner).
-        binner.reset()
     stream.seek(checkpoint.next_frame)

@@ -20,8 +20,8 @@ Design rules, in order of priority:
   identity and the frame index) — there is no RNG state to lose, so
   checkpoint restore at any frame continues byte-identically for
   free.
-* **Checkpoint compatibility.** A digest stream duck-types the
-  :class:`~repro.stream.pipeline.FramePipeline` surface that
+* **Checkpoint compatibility.** A digest stream is a
+  :class:`~repro.stream.pipeline.FramePipeline`, the surface
   :mod:`repro.stream.checkpoint` captures: its cache state exports a
   real :class:`~repro.core.reuse_cache.TemporalCacheState`, so the
   same :class:`~repro.stream.checkpoint.SessionCheckpoint` machinery
@@ -72,7 +72,7 @@ from repro.core.reuse_cache import (
 )
 from repro.errors import ValidationError
 from repro.scenes import SceneSpec
-from repro.scenes.catalog import CATALOG, AppType
+from repro.scenes.catalog import CATALOG
 from repro.stream.binning import BinningStats, camera_fingerprint
 from repro.stream.content_cache import (
     CachedFrame,
@@ -80,12 +80,13 @@ from repro.stream.content_cache import (
     render_mode,
 )
 from repro.stream.pipeline import (
+    FramePipeline,
     FrameRecord,
     FrameStream,
     StreamReport,
     streaming_config,
 )
-from repro.stream.qos import QualityController
+from repro.stream.qos import QualityController, detail_key
 from repro.stream.trajectory import CameraTrajectory
 
 #: Schema version of the serialized model table.  Bumped whenever the
@@ -104,11 +105,6 @@ FRAME_MEMO_CAP = 4096
 #: class but different seeds/phases than the calibration run.  A
 #: digest replay of the calibration trajectory itself is exact.
 SIM_SECONDS_REL_TOL = 0.15
-
-
-def _detail_key(detail: float) -> float:
-    """Detail rungs quantized the way the QoS ladder quantizes them."""
-    return round(float(detail), 6)
 
 
 @dataclass(frozen=True)
@@ -174,7 +170,7 @@ class WorkloadModel:
     def key(self) -> tuple:
         return (
             self.scene,
-            _detail_key(self.detail),
+            detail_key(self.detail),
             self.trajectory,
             self.mode,
         )
@@ -306,7 +302,7 @@ class WorkloadModelTable:
         hit = self._resolved.get(key)
         if hit is not None:
             return hit
-        model = self._models.get((scene, _detail_key(detail), trajectory, mode))
+        model = self._models.get((scene, detail_key(detail), trajectory, mode))
         if model is None:
             self.require(scene, trajectory)
             same_mode = [
@@ -324,7 +320,7 @@ class WorkloadModelTable:
             model = min(pool, key=lambda m: (abs(m.detail - detail), m.detail))
         scale = (
             1.0
-            if _detail_key(detail) == _detail_key(model.detail)
+            if detail_key(detail) == detail_key(model.detail)
             else max(detail, 1e-6) / max(model.detail, 1e-6)
         )
         self._resolved[key] = (model, scale)
@@ -593,20 +589,20 @@ class _DigestCacheState:
         self._cum_hits = state.cumulative_hits
 
 
-class DigestFrameStream:
+class DigestFrameStream(FramePipeline):
     """Advance one session's serving state from calibrated models.
 
-    Implements the :class:`~repro.stream.pipeline.FramePipeline`
-    surface of :class:`~repro.stream.pipeline.FrameStream` — the
-    server, checkpoints, QoS controller and content cache drive both
-    interchangeably — but each frame costs a model lookup instead of
-    a render, so fleets of 10^5+ sessions fit in one process.
+    The digest :class:`~repro.stream.pipeline.FramePipeline`: the
+    server, checkpoints, QoS controller and content cache drive it
+    exactly as they drive the exact
+    :class:`~repro.stream.pipeline.FrameStream` — the per-frame
+    session step is the one both inherit — but each frame costs a
+    model lookup instead of a render, so fleets of 10^5+ sessions fit
+    in one process.
 
-    Content-cache integration is *real*, not modeled: when ``content``
-    is given, the frame's camera (rescaled to the active rung under a
-    controller, then pose-canonicalized) is addressed through the same
-    :func:`~repro.stream.content_cache.frame_content_key`, so digest
-    key sequences match exact ones by construction; misses insert a
+    Content-cache integration is *real*, not modeled: the frame's
+    content address comes from the shared step, so digest key
+    sequences match exact ones by construction; misses insert a
     placeholder payload carrying the model's calibrated byte size, so
     tier economics and eviction pressure stay meaningful.
 
@@ -624,35 +620,18 @@ class DigestFrameStream:
         controller: QualityController | None = None,
         content: SessionContentView | None = None,
     ) -> None:
-        spec = CATALOG[scene] if isinstance(scene, str) else scene
         if keep_images:
             raise ValidationError(
                 "the digest pipeline renders no images; "
                 "keep_images requires pipeline='exact'"
             )
-        if controller is not None and controller.nominal_detail != detail:
-            raise ValidationError(
-                f"controller nominal detail {controller.nominal_detail} "
-                f"does not match the stream's detail {detail}"
-            )
-        self.spec = spec
-        self.trajectory = trajectory
-        self.detail = detail
+        config = streaming_config() if config is None else config
+        super().__init__(scene, trajectory, config, detail, controller, content)
         self.models = models
-        self.config = streaming_config() if config is None else config
-        self.keep_images = False
-        self.controller = controller
-        self.content = content
-        #: Content-cache key sequence (one entry per frame when a
-        #: content cache is attached) — the fidelity-assertion trace.
-        self.key_trace: list = []
-        # Without a controller the render mode is fixed (one shard), so
-        # it is resolved once, here.
-        self._mode = render_mode(self.config, 1)
         # Fail fast (at session registration, not first tick) when the
         # table cannot serve this stream at all; also pins the cache
         # geometry the checkpoint state must round-trip through.
-        lookup = (spec.name, detail, trajectory.kind, self._mode)
+        lookup = (self.spec.name, detail, trajectory.kind, self._mode)
         base, _ = models.lookup(*lookup)
         self.cache_state = _DigestCacheState(
             base.cache_policy, base.capacity_lines, base.bytes_per_line
@@ -673,45 +652,6 @@ class DigestFrameStream:
             and base.jitter == 0.0
             else None
         )
-        self._active_detail = detail
-        self._next_frame = 0
-
-    # -- FramePipeline surface ------------------------------------------
-    @property
-    def frames_rendered(self) -> int:
-        return self._next_frame
-
-    @property
-    def active_detail(self) -> float:
-        return self._active_detail
-
-    def load_detail(self, detail: float) -> None:
-        """Switch the active rung (the digest has no bundle to swap)."""
-        self._active_detail = float(detail)
-
-    def reset(self) -> None:
-        self._active_detail = self.detail
-        if self.controller is not None:
-            self.controller.reset()
-        self.cache_state.reset()
-        self.key_trace.clear()
-        self._next_frame = 0
-
-    def seek(self, frame: int) -> None:
-        if frame < 0:
-            raise ValidationError("cannot seek to a negative frame")
-        self._next_frame = int(frame)
-
-    def run(self, n_frames: int | None = None) -> StreamReport:
-        n = self.trajectory.n_frames if n_frames is None else n_frames
-        if n <= 0:
-            raise ValidationError("stream needs at least one frame")
-        report = StreamReport(
-            scene=self.spec.name, trajectory=self.trajectory.kind
-        )
-        for _ in range(n):
-            report.frames.append(self.render_next())
-        return report
 
     def render_next(self) -> FrameRecord:
         """Advance one frame from the model (same contract as the
@@ -724,7 +664,7 @@ class DigestFrameStream:
         """
         prefix = self._memo_prefix
         if prefix is None or self._active_detail != self.detail:
-            return self._model_frame()
+            return self._advance()
         state = self.cache_state
         key = (*prefix, self._next_frame, *state.counters)
         memo = self.models._frames
@@ -733,7 +673,7 @@ class DigestFrameStream:
             state.counters = served[1]
             self._next_frame += 1
             return served[0]
-        record = self._model_frame()
+        record = self._advance()
         # A model registered after admission may carry jitter, which
         # makes frames stream-specific: those are never shared.
         if self.models.lookup(*prefix)[0].jitter == 0.0:
@@ -742,20 +682,11 @@ class DigestFrameStream:
                 del memo[next(iter(memo))]
         return record
 
-    def _model_frame(self) -> FrameRecord:
-        """Model the next frame from the table: the digest's one
-        per-frame implementation, memoized or not."""
-        k = self._next_frame
-        detail = self._active_detail
-        if self.controller is not None:
-            detail = self.controller.next_detail
-            if detail != self._active_detail:
-                self.load_detail(detail)
-                self.cache_state.flush_resident()
-        shards = 1 if self.controller is None else self.controller.next_shards
-        mode = (
-            self._mode if self.controller is None else render_mode(self.config, shards)
-        )
+    def _frame(self, k, detail, shards, mode, camera, key, hit) -> dict:
+        """Read frame ``k``'s numbers off the table's model.  A record's
+        ``wall_seconds`` stays 0: the digest produces frames in ~O(µs),
+        so per-frame host time is noise, and a zero keeps digest
+        records bit-stable."""
         model, scale = self.models.lookup(
             self.spec.name, detail, self.trajectory.kind, mode
         )
@@ -771,72 +702,29 @@ class DigestFrameStream:
         sim_seconds = model.frame_seconds[p] * scale
         if model.jitter > 0.0:
             sim_seconds *= 1.0 + model.jitter * self._jitter_unit(k)
-        served_from = None
-        if self.content is not None:
-            camera = self.trajectory.camera_at(k)
-            if self.controller is not None:
-                width, height = self.spec.eval_resolution(detail)
-                if (camera.width, camera.height) != (width, height):
-                    camera = camera.with_resolution(width, height)
-            camera = self.content.canonical_camera(camera)
-            key = self.content.frame_key(
-                self.spec,
-                camera,
-                self._frame_clock(k),
-                detail,
-                mode,
-            )
-            self.key_trace.append(key)
-            hit = self.content.lookup(key)
-            if hit is not None:
-                served_from = hit[1]
-            else:
-                self.content.insert(_placeholder_frame(
-                    key,
-                    compute_seconds=sim_seconds,
-                    n_visible=n_visible,
-                    n_instances=n_instances,
-                    nbytes=max(int(round(model.frame_nbytes[p] * scale)), 1),
-                ))
-        sample = self.cache_state.observe(accesses, hits, carried)
-        qos = None
-        if self.controller is not None:
-            qos = self.controller.observe(
-                frame=k, detail=detail, sim_seconds=sim_seconds
-            )
-        record = FrameRecord(
-            frame=k,
+        if key is not None and hit is None:
+            self.content.insert(_placeholder_frame(
+                key,
+                compute_seconds=sim_seconds,
+                n_visible=n_visible,
+                n_instances=n_instances,
+                nbytes=max(int(round(model.frame_nbytes[p] * scale)), 1),
+            ))
+        return dict(
             n_visible=n_visible,
             n_instances=n_instances,
             sim_seconds=sim_seconds,
-            # The digest produces frames in ~O(µs); per-frame host time
-            # is noise, and a zero keeps digest records bit-stable.
-            wall_seconds=0.0,
-            cache=sample,
+            cache=self.cache_state.observe(accesses, hits, carried),
             binning=BinningStats(
                 total_instances=n_instances,
                 reused_instances=reused,
                 generated_instances=n_instances - reused,
                 full_reuse=bool(model.full_reuse[p]),
             ),
-            image=None,
-            detail=detail,
-            qos=qos,
-            shards=shards,
-            served_from=served_from,
+            served_from=None if hit is None else hit[1],
         )
-        self._next_frame = k + 1
-        return record
 
     # -- internals ------------------------------------------------------
-    def _frame_clock(self, frame: int) -> int:
-        """Mirror :meth:`~repro.scenes.catalog.SceneBundle.frame_clock`
-        from the calibrated modulus: equal clocks guarantee equal
-        clouds, so digest content keys match exact ones."""
-        if self.spec.app_type is AppType.STATIC:
-            return 0
-        return frame % self._n_eval_frames
-
     @functools.cached_property
     def _jitter_salt(self) -> bytes:
         """Stream identity for :meth:`_jitter_unit`, built on first use
@@ -847,7 +735,7 @@ class DigestFrameStream:
                     self.spec.name,
                     self.trajectory.kind,
                     camera_fingerprint(self.trajectory.camera_at(0)),
-                    _detail_key(self.detail),
+                    detail_key(self.detail),
                 )
             ).encode()
         ).digest()

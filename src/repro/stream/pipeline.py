@@ -1,9 +1,13 @@
-"""The per-session frame-sequence pipeline.
+"""The per-session frame-sequence pipelines.
 
-A :class:`FrameStream` renders a :class:`~repro.stream.trajectory.
-CameraTrajectory` over one catalog scene (static, dynamic or avatar)
-through a :class:`~repro.core.gbu.GBUDevice`, *persisting* cross-frame
-state between frames:
+:class:`FramePipeline` is the session skeleton both pipelines share:
+the trajectory cursor, the active detail rung and the per-frame
+session step (QoS rung switch and shard count, content-cache address,
+QoS feedback).  Its exact subclass, :class:`FrameStream`, renders a
+:class:`~repro.stream.trajectory.CameraTrajectory` over one catalog
+scene (static, dynamic or avatar) through a
+:class:`~repro.core.gbu.GBUDevice`, *persisting* cross-frame state
+between frames:
 
 * **Warm tile binning** — the :class:`~repro.stream.binning.WarmBinner`
   carries (tile, Gaussian) instances across frames and regenerates
@@ -27,19 +31,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable
 
 import numpy as np
 
 from repro.config import DEFAULT_BACKEND
-from repro.core.gbu import GBUConfig, GBUDevice, GBUReport
+from repro.core.gbu import GBUConfig, GBUDevice
 from repro.core.pipeline import SYNC_SECONDS, PipelinedFrame
 from repro.core.reuse_cache import FrameCacheSample
-from repro.errors import DeviceBusyError, ValidationError
-from repro.gaussians import project
+from repro.errors import ValidationError
+from repro.gaussians import Camera, project
 from repro.gpu import FrameWorkload, GPUTimingModel, ScaleFactors
 from repro.scenes import BundleCache, SceneBundle, SceneSpec, build_scene
-from repro.scenes.catalog import CATALOG
+from repro.scenes.catalog import CATALOG, AppType
 from repro.stream.binning import BinningStats, WarmBinner, camera_fingerprint
 from repro.stream.content_cache import CachedFrame, SessionContentView, render_mode
 from repro.stream.qos import QoSRecord, QualityController
@@ -51,41 +55,6 @@ from repro.stream.trajectory import CameraTrajectory
 #: calibrated workload models
 #: (:class:`~repro.stream.digest.DigestFrameStream`).
 PIPELINES = ("exact", "digest")
-
-
-@runtime_checkable
-class FramePipeline(Protocol):
-    """The per-session surface everything above the renderer talks to.
-
-    Implemented by the exact :class:`FrameStream` and the digest
-    :class:`~repro.stream.digest.DigestFrameStream`.  The server,
-    scheduler, QoS controller, checkpoint capture/restore and the
-    fleet drive sessions exclusively through this protocol, so a
-    session's pipeline mode is invisible above the frame layer.
-
-    Beyond the members below, implementations expose ``spec``,
-    ``trajectory``, ``detail``, ``controller``, ``content`` and a
-    ``cache_state`` whose ``export_state()``/``import_state()`` round-
-    trips a :class:`~repro.core.reuse_cache.TemporalCacheState` — the
-    contract :func:`~repro.stream.checkpoint.capture_checkpoint`
-    snapshots.
-    """
-
-    @property
-    def frames_rendered(self) -> int: ...
-
-    @property
-    def active_detail(self) -> float: ...
-
-    def load_detail(self, detail: float) -> None: ...
-
-    def reset(self) -> None: ...
-
-    def seek(self, frame: int) -> None: ...
-
-    def render_next(self) -> "FrameRecord": ...
-
-    def run(self, n_frames: int | None = None) -> "StreamReport": ...
 
 
 def streaming_config(
@@ -277,8 +246,9 @@ class StreamReport:
                     "full_reuse": f.binning.full_reuse,
                     "detail": f.detail,
                     # Only emitted when the session actually sharded, so
-                    # serve summaries of unsharded runs (including the
-                    # golden fixtures) keep their exact bytes.
+                    # the per-session summaries `repro-stream serve
+                    # --json` writes for unsharded runs keep their exact
+                    # bytes.
                     **({"shards": f.shards} if f.shards > 1 else {}),
                     # Same contract: only dedup-served frames carry the
                     # tier, so cache-less runs keep their exact bytes.
@@ -301,7 +271,187 @@ class StreamReport:
         }
 
 
-class FrameStream:
+class FramePipeline:
+    """One session's frame sequence: the state and step both pipelines share.
+
+    The base class of the exact :class:`FrameStream` and the digest
+    :class:`~repro.stream.digest.DigestFrameStream`.  The server,
+    scheduler, QoS controller, checkpoint capture/restore and the
+    fleet drive sessions exclusively through this surface, so a
+    session's pipeline mode is invisible above the frame layer.
+
+    The base owns the trajectory cursor, the active detail rung, the
+    content-cache key trace and the per-frame session step
+    (:meth:`_advance`).  Both pipelines take that one step, so their
+    detail, shard and content-key traces agree by construction; a
+    subclass only decides how a frame's numbers are produced.  It
+    supplies:
+
+    * ``render_next()`` — calls :meth:`_advance` (each subclass
+      defines it, so a profiler can wrap either pipeline's frame);
+    * ``_frame(k, detail, shards, mode, camera, key, hit)`` — the
+      frame's :class:`FrameRecord` fields other than those the step
+      fills in (``frame``, ``wall_seconds``, ``detail``, ``qos``,
+      ``shards``), observing the frame into ``cache_state``;
+    * ``cache_state`` — whose ``export_state()``/``import_state()``
+      round-trips a :class:`~repro.core.reuse_cache.TemporalCacheState`
+      (the contract :func:`~repro.stream.checkpoint.capture_checkpoint`
+      snapshots);
+    * ``_n_eval_frames`` — the scene clock's modulus.
+    """
+
+    def __init__(
+        self,
+        scene: SceneSpec | str,
+        trajectory: CameraTrajectory,
+        config: GBUConfig,
+        detail: float,
+        controller: QualityController | None,
+        content: SessionContentView | None,
+    ) -> None:
+        if controller is not None and controller.nominal_detail != detail:
+            raise ValidationError(
+                f"controller nominal detail {controller.nominal_detail} "
+                f"does not match the stream's detail {detail}"
+            )
+        self.spec = CATALOG[scene] if isinstance(scene, str) else scene
+        self.trajectory = trajectory
+        self.config = config
+        self.detail = detail
+        self.controller = controller
+        self.content = content
+        #: Content-cache key sequence (one entry per frame when a
+        #: content cache is attached); fidelity tests assert the exact
+        #: and digest traces are identical.
+        self.key_trace: list = []
+        # Without a controller every frame renders on one shard, so the
+        # render mode is resolved once, here.
+        self._mode = render_mode(config, 1)
+        self._active_detail = detail
+        self._next_frame = 0
+
+    @property
+    def frames_rendered(self) -> int:
+        return self._next_frame
+
+    @property
+    def active_detail(self) -> float:
+        """Absolute detail of the currently active rung."""
+        return self._active_detail
+
+    def load_detail(self, detail: float) -> None:
+        """Make ``detail`` the active rung.
+
+        The temporal cache is *not* touched here: the frame step
+        flushes the resident set around a live detail switch, while
+        checkpoint restore imports the exported state instead.
+        """
+        self._active_detail = detail
+
+    def reset(self) -> None:
+        """Drop all cross-frame state and restart at frame 0."""
+        if self._active_detail != self.detail:
+            self.load_detail(self.detail)
+        if self.controller is not None:
+            self.controller.reset()
+        self.cache_state.reset()
+        self.key_trace.clear()
+        self.seek(0)
+
+    def seek(self, frame: int) -> None:
+        """Move the stream cursor so ``render_next`` produces ``frame``.
+
+        Used by checkpoint restore (``repro.stream.checkpoint``) after
+        the cross-frame cache state has been imported; it does not
+        touch the cache state itself.
+        """
+        if frame < 0:
+            raise ValidationError("cannot seek to a negative frame")
+        self._next_frame = int(frame)
+
+    def run(self, n_frames: int | None = None) -> StreamReport:
+        """Produce ``n_frames`` (default: the whole trajectory)."""
+        n = self.trajectory.n_frames if n_frames is None else n_frames
+        if n <= 0:
+            raise ValidationError("stream needs at least one frame")
+        report = StreamReport(
+            scene=self.spec.name, trajectory=self.trajectory.kind
+        )
+        for _ in range(n):
+            report.frames.append(self.render_next())
+        return report
+
+    def _advance(self, t0: float | None = None) -> FrameRecord:
+        """Produce the next frame of the trajectory, advancing state.
+
+        With a QoS controller, the frame renders at the controller's
+        current detail and shard count: a rung change swaps the rung in
+        (:meth:`load_detail`), flushes the temporal cache's resident
+        lines (features of one level of detail do not serve another —
+        the cumulative counters keep accumulating), and rescales the
+        trajectory camera to the rung's evaluation resolution.  With a
+        content cache, the frame's content address is looked up before
+        the subclass produces the frame.  The frame's simulated latency
+        is then fed back into the controller.
+
+        ``t0`` is the host clock the frame started at; without it the
+        record's ``wall_seconds`` is 0.
+        """
+        k = self._next_frame
+        controller = self.controller
+        detail, shards, mode = self._active_detail, 1, self._mode
+        if controller is not None:
+            detail = controller.next_detail
+            if detail != self._active_detail:
+                self.load_detail(detail)
+                self.cache_state.flush_resident()
+            shards = controller.next_shards
+            mode = render_mode(self.config, shards)
+        camera = key = hit = None
+        if self.content is not None:
+            # Canonical-pose rendering: the snapped camera is what gets
+            # rendered, so every viewer in the quantization cell sees
+            # the byte-identical product whether it hit or rendered.
+            camera = self.content.canonical_camera(self._camera(k, detail))
+            key = self.content.frame_key(
+                self.spec, camera, self._frame_clock(k), detail, mode
+            )
+            self.key_trace.append(key)
+            hit = self.content.lookup(key)
+        numbers = self._frame(k, detail, shards, mode, camera, key, hit)
+        qos = None
+        if controller is not None:
+            qos = controller.observe(
+                frame=k, detail=detail, sim_seconds=numbers["sim_seconds"]
+            )
+        self._next_frame = k + 1
+        return FrameRecord(
+            frame=k,
+            wall_seconds=0.0 if t0 is None else time.perf_counter() - t0,
+            detail=detail,
+            qos=qos,
+            shards=shards,
+            **numbers,
+        )
+
+    def _camera(self, k: int, detail: float) -> Camera:
+        """Frame ``k``'s trajectory camera at ``detail``'s resolution."""
+        camera = self.trajectory.camera_at(k)
+        if self.controller is not None:
+            width, height = self.spec.eval_resolution(detail)
+            if (camera.width, camera.height) != (width, height):
+                camera = camera.with_resolution(width, height)
+        return camera
+
+    def _frame_clock(self, frame: int) -> int:
+        """:meth:`~repro.scenes.catalog.SceneBundle.frame_clock` of
+        ``frame``: equal clocks guarantee equal clouds."""
+        if self.spec.app_type is AppType.STATIC:
+            return 0
+        return frame % self._n_eval_frames
+
+
+class FrameStream(FramePipeline):
     """Render a camera trajectory over one scene with persistent state.
 
     Parameters
@@ -321,10 +471,9 @@ class FrameStream:
         Retain each frame's image on its :class:`FrameRecord`.
     device:
         Share an existing :class:`GBUDevice` (the server gives every
-        worker one device multiplexed across its sessions); the device
-        is driven through the Listing-1 busy/handshake protocol, so a
-        frame left in flight by another session raises — and is
-        drained via — :class:`~repro.errors.DeviceBusyError`.
+        worker one device multiplexed across its sessions).  Each
+        frame is one synchronous :meth:`GBUDevice.render` call, so no
+        frame is ever left in flight between sessions.
     controller:
         Optional per-session :class:`~repro.stream.qos.
         QualityController`.  When given, every frame renders at the
@@ -345,7 +494,7 @@ class FrameStream:
         content address is looked up before rendering, and a hit
         short-circuits the functional render while still advancing
         timing, QoS and temporal cache state exactly as a fresh render
-        would (see :meth:`render_next`).
+        would (see :meth:`_serve_cached`).
     """
 
     def __init__(
@@ -361,14 +510,8 @@ class FrameStream:
         bundle_provider: Callable[..., SceneBundle] | None = None,
         content: SessionContentView | None = None,
     ) -> None:
-        spec = CATALOG[scene] if isinstance(scene, str) else scene
         if device is not None and config is not None and device.config != config:
             raise ValidationError("pass either a device or a config, not both")
-        if bundle is not None and bundle.spec != spec:
-            raise ValidationError(
-                f"bundle was built for scene '{bundle.spec.name}', "
-                f"stream requested '{spec.name}'"
-            )
         config = (
             device.config
             if device is not None
@@ -379,133 +522,87 @@ class FrameStream:
                 "FrameStream owns Rendering Step 2 (warm binning); "
                 "use a config with use_dnb=False (see streaming_config())"
             )
-        if controller is not None and controller.nominal_detail != detail:
+        super().__init__(scene, trajectory, config, detail, controller, content)
+        spec = self.spec
+        if bundle is not None and bundle.spec != spec:
             raise ValidationError(
-                f"controller nominal detail {controller.nominal_detail} "
-                f"does not match the stream's detail {detail}"
+                f"bundle was built for scene '{bundle.spec.name}', "
+                f"stream requested '{spec.name}'"
             )
-        self.spec = spec
-        self.trajectory = trajectory
-        self.detail = detail
         self.bundle = bundle if bundle is not None else build_scene(spec, detail=detail)
         self.device = device if device is not None else GBUDevice(config=config)
         self.keep_images = keep_images
         self.scales = ScaleFactors.for_scene(spec)
-        self.controller = controller
         if bundle_provider is None and controller is not None:
             cache = BundleCache()
             cache.put(spec, detail, self.bundle)
             bundle_provider = cache.get
         self._bundle_provider = bundle_provider
-        self.content = content
         self._gpu_model = GPUTimingModel()
         self.binner = WarmBinner(self.bundle.n_source_gaussians)
         self.cache_state = self.device.new_cache_state()
-        #: Content-cache key sequence (one entry per frame when a
-        #: content cache is attached); the digest pipeline records the
-        #: same trace, and fidelity tests assert the two are identical.
-        self.key_trace: list = []
-        self._active_detail = detail
-        self._next_frame = 0
 
     @property
-    def frames_rendered(self) -> int:
-        return self._next_frame
-
-    @property
-    def active_detail(self) -> float:
-        """Absolute detail of the currently-loaded scene bundle."""
-        return self._active_detail
+    def _n_eval_frames(self) -> int:
+        return self.bundle.n_eval_frames
 
     def load_detail(self, detail: float) -> None:
-        """Swap in the bundle for ``detail`` (cold binner, new universe).
-
-        The temporal cache is *not* touched here: the adaptive render
-        path flushes the resident set around a live detail switch,
-        while checkpoint restore imports the exported state instead.
-        """
+        """Swap in the bundle for ``detail`` (cold binner, new universe)."""
         if self._bundle_provider is None:
             raise ValidationError(
                 "stream has no bundle provider; detail cannot change"
             )
         self.bundle = self._bundle_provider(self.spec, detail)
         self.binner = WarmBinner(self.bundle.n_source_gaussians)
-        self._active_detail = detail
-
-    def reset(self) -> None:
-        """Drop all cross-frame state and restart at frame 0."""
-        if self._active_detail != self.detail:
-            self.load_detail(self.detail)
-        if self.controller is not None:
-            self.controller.reset()
-        self.binner.reset()
-        self.cache_state.reset()
-        self.key_trace.clear()
-        self._next_frame = 0
+        super().load_detail(detail)
 
     def seek(self, frame: int) -> None:
-        """Move the stream cursor so ``render_next`` produces ``frame``.
+        """Move the cursor; the warm binner restarts cold.
 
-        Used by checkpoint restore (``repro.stream.checkpoint``) after
-        the cross-frame cache state has been imported; it does not
-        touch the binner or cache state itself.
+        Warm binning is exact from cold state, so a moved stream
+        renders the same lists and images; only the next frame's
+        ``BinningStats`` report less reuse.
         """
-        if frame < 0:
-            raise ValidationError("cannot seek to a negative frame")
-        self._next_frame = int(frame)
+        super().seek(frame)
+        self.binner.reset()
 
     def render_next(self) -> FrameRecord:
-        """Render the next frame of the trajectory, advancing state.
+        """Render the next frame of the trajectory, advancing state
+        (see :meth:`FramePipeline._advance`)."""
+        return self._advance(time.perf_counter())
 
-        With a QoS controller, the frame renders at the controller's
-        current detail: a rung change swaps the scene bundle (through
-        the bundle provider), restarts the warm binner on the new
-        Gaussian universe, flushes the temporal cache's resident lines
-        (features of one level of detail do not serve another — the
-        cumulative counters keep accumulating), and rescales the
-        trajectory camera to the rung's evaluation resolution.  The
-        frame's simulated latency is then fed back into the loop.
+    def _frame(self, k, detail, shards, mode, camera, key, hit) -> dict:
+        """Serve a content-cache hit; render anything else."""
+        if hit is not None:
+            return self._serve_cached(*hit)
+        if camera is None:
+            camera = self._camera(k, detail)
+        return self._render(k, camera, shards, key)
+
+    def _render(
+        self, k: int, camera: Camera, shards: int, key: str | None
+    ) -> dict:
+        """Project, bin and render frame ``k`` on the device, storing
+        the product under ``key`` when a content cache is attached.
+
+        ``shards`` is this frame's tile-engine count; sessions that
+        share one device each pass their own controller-chosen count.
         """
-        k = self._next_frame
-        t0 = time.perf_counter()
-        detail = self._active_detail
-        if self.controller is not None:
-            detail = self.controller.next_detail
-            if detail != self._active_detail:
-                self.load_detail(detail)
-                self.cache_state.flush_resident()
-        camera = self.trajectory.camera_at(k)
-        if self.controller is not None:
-            width, height = self.spec.eval_resolution(detail)
-            if (camera.width, camera.height) != (width, height):
-                camera = camera.with_resolution(width, height)
-        shards = 1 if self.controller is None else self.controller.next_shards
-        key = None
-        if self.content is not None:
-            # Canonical-pose rendering: the snapped camera is what gets
-            # rendered, so every viewer in the quantization cell sees
-            # the byte-identical product whether it hit or rendered.
-            camera = self.content.canonical_camera(camera)
-            key = self.content.frame_key(
-                self.spec,
-                camera,
-                self.bundle.frame_clock(k),
-                detail,
-                render_mode(self.device.config, shards),
-            )
-            self.key_trace.append(key)
-            hit = self.content.lookup(key)
-            if hit is not None:
-                return self._serve_cached(k, *hit, detail=detail, shards=shards, t0=t0)
         cloud, extra_flops, source_ids = self.bundle.frame_cloud_indexed(k)
         projected = project(cloud, camera)
         lists, binning = self.binner.build(
             projected,
-            frame_key=(camera_fingerprint(camera), self.bundle.frame_clock(k)),
+            frame_key=(camera_fingerprint(camera), self._frame_clock(k)),
             source_ids=source_ids,
         )
-        report = self._render_via_device(projected, lists, source_ids, shards=shards)
-        sim_seconds = self._frame_seconds(report, len(projected), extra_flops)
+        report = self.device.render(
+            projected,
+            scales=self.scales,
+            lists=lists,
+            cache_state=self.cache_state,
+            feature_ids=source_ids[projected.source_index],
+            shards=shards,
+        )
         if key is not None:
             self.content.insert(
                 CachedFrame(
@@ -519,38 +616,23 @@ class FrameStream:
                     extra_flops=extra_flops,
                 )
             )
-        qos = None
-        if self.controller is not None:
-            qos = self.controller.observe(
-                frame=k, detail=detail, sim_seconds=sim_seconds
-            )
-        wall = time.perf_counter() - t0
-        record = FrameRecord(
-            frame=k,
+        return dict(
             n_visible=len(projected),
             n_instances=lists.n_instances,
-            sim_seconds=sim_seconds,
-            wall_seconds=wall,
+            sim_seconds=self._frame_seconds_from(
+                accesses=report.cache.accesses,
+                image=report.image,
+                step3_seconds=report.step3_seconds,
+                n_visible=len(projected),
+                extra_flops=extra_flops,
+            ),
             cache=report.cache_sample,
             binning=binning,
             image=report.image if self.keep_images else None,
-            detail=detail,
-            qos=qos,
-            shards=shards,
         )
-        self._next_frame = k + 1
-        return record
 
-    def _serve_cached(
-        self,
-        k: int,
-        cached: CachedFrame,
-        level: str,
-        detail: float,
-        shards: int,
-        t0: float,
-    ) -> FrameRecord:
-        """Serve frame ``k`` from the content cache.
+    def _serve_cached(self, cached: CachedFrame, level: str) -> dict:
+        """Serve a frame from the content cache.
 
         Only the functional render is skipped.  The cached feature
         trace replays through *this session's* temporal cache state and
@@ -567,26 +649,16 @@ class FrameStream:
         step3_s = self.device.replay_step3_seconds(
             cache_sample.report, height, width, self.scales, cached.compute_seconds
         )
-        sim_seconds = self._frame_seconds_from(
-            accesses=cache_sample.report.accesses,
-            height=height,
-            width=width,
-            step3_seconds=step3_s,
-            n_visible=cached.n_visible,
-            extra_flops=cached.extra_flops,
-        )
-        qos = None
-        if self.controller is not None:
-            qos = self.controller.observe(
-                frame=k, detail=detail, sim_seconds=sim_seconds
-            )
-        wall = time.perf_counter() - t0
-        record = FrameRecord(
-            frame=k,
+        return dict(
             n_visible=cached.n_visible,
             n_instances=cached.n_instances,
-            sim_seconds=sim_seconds,
-            wall_seconds=wall,
+            sim_seconds=self._frame_seconds_from(
+                accesses=cache_sample.report.accesses,
+                image=cached.image,
+                step3_seconds=step3_s,
+                n_visible=cached.n_visible,
+                extra_flops=cached.extra_flops,
+            ),
             cache=cache_sample,
             binning=BinningStats(
                 total_instances=cached.n_instances,
@@ -595,91 +667,26 @@ class FrameStream:
                 full_reuse=True,
             ),
             image=cached.image if self.keep_images else None,
-            detail=detail,
-            qos=qos,
-            shards=shards,
             served_from=level,
-        )
-        self._next_frame = k + 1
-        return record
-
-    def _render_via_device(
-        self, projected, lists, source_ids, shards: int = 1
-    ) -> GBUReport:
-        """Issue the frame through the Listing-1 device protocol.
-
-        A device shared across a worker's sessions may still hold a
-        frame in flight; :class:`~repro.errors.DeviceBusyError` is
-        honored by draining the pending frame and re-issuing.
-
-        ``shards`` is this frame's tile-engine count; sessions that
-        share one device each pass their own controller-chosen count.
-        """
-        width, height = projected.image_size
-        frame_buffer = np.empty((height, width, 3), dtype=np.float64)
-        kwargs = dict(
-            scales=self.scales,
-            cache_state=self.cache_state,
-            feature_ids=source_ids[projected.source_index],
-            shards=shards,
-        )
-        try:
-            self.device.GBU_render_image(
-                height, width, projected, lists, frame_buffer, **kwargs
-            )
-        except DeviceBusyError:
-            self.device.GBU_check_status(blocking=True)
-            self.device.GBU_render_image(
-                height, width, projected, lists, frame_buffer, **kwargs
-            )
-        self.device.GBU_check_status(blocking=True)
-        return self.device.last_report
-
-    def run(self, n_frames: int | None = None) -> StreamReport:
-        """Render ``n_frames`` (default: the whole trajectory)."""
-        n = self.trajectory.n_frames if n_frames is None else n_frames
-        if n <= 0:
-            raise ValidationError("stream needs at least one frame")
-        report = StreamReport(
-            scene=self.spec.name, trajectory=self.trajectory.kind
-        )
-        for _ in range(n):
-            report.frames.append(self.render_next())
-        return report
-
-    def _frame_seconds(
-        self, report: GBUReport, n_visible: int, extra_flops: float
-    ) -> float:
-        """Steady-state paper-scale frame latency for one stream frame.
-
-        Only the Step-1/Step-2 counters of the workload are consumed
-        here; the Step-3 side comes from the device report.
-        """
-        return self._frame_seconds_from(
-            accesses=report.cache.accesses,
-            height=report.image.shape[0],
-            width=report.image.shape[1],
-            step3_seconds=report.step3_seconds,
-            n_visible=n_visible,
-            extra_flops=extra_flops,
         )
 
     def _frame_seconds_from(
         self,
         accesses: int,
-        height: int,
-        width: int,
+        image: np.ndarray,
         step3_seconds: float,
         n_visible: int,
         extra_flops: float,
     ) -> float:
-        """The frame-latency arithmetic on its primitive inputs.
+        """Steady-state paper-scale frame latency for one stream frame.
 
         Shared between the render path (counters read off the device
         report) and the content-cache hit path (counters replayed from
         the cached frame), so both produce bit-identical latencies for
-        identical counters.
+        identical counters.  Only the Step-1/Step-2 workload is modeled
+        here; the Step-3 side is ``step3_seconds``.
         """
+        height, width = image.shape[0], image.shape[1]
         workload = FrameWorkload(
             n_gaussians=n_visible * self.scales.gaussian,
             step1_extra_flops_per_gaussian=extra_flops,

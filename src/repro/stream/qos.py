@@ -45,6 +45,12 @@ from repro.errors import ValidationError
 QOS_MODES = ("fixed", "adaptive")
 
 
+def detail_key(detail: float) -> float:
+    """A detail value as a table key: rounded so float noise from the
+    ladder's ``rung * nominal_detail`` arithmetic cannot split a rung."""
+    return round(float(detail), 6)
+
+
 @dataclass(frozen=True)
 class FrameDeadline:
     """A session's per-frame latency budget, from a target refresh rate."""

@@ -43,6 +43,7 @@ from typing import Callable
 
 from repro.errors import ValidationError
 from repro.scenes.catalog import CATALOG
+from repro.stream.qos import detail_key
 
 # The '"StreamSession"' annotations below refer to repro.stream.server,
 # which imports this module — a type-only forward reference keeps the
@@ -273,14 +274,9 @@ class StreamScheduler:
         raise NotImplementedError
 
     # -- cost model -----------------------------------------------------
-    @staticmethod
-    def _detail_key(detail: float) -> float:
-        """Estimate-table key for a detail value (float-noise safe)."""
-        return round(float(detail), 6)
-
     def _proxy_for(self, scene: str, detail: float) -> float:
         """The static cost proxy for ``(scene, detail)`` (memoized)."""
-        key = (scene, self._detail_key(detail))
+        key = (scene, detail_key(detail))
         if key not in self._proxy:
             self._proxy[key] = self._estimator(scene, detail)
         return self._proxy[key]
@@ -307,7 +303,7 @@ class StreamScheduler:
             detail = (
                 plan.current_detail if plan is not None else session.detail
             )
-        key = (session.scene, self._detail_key(detail))
+        key = (session.scene, detail_key(detail))
         if key in self._observed:
             return self._observed[key]
         proxy = self._proxy_for(session.scene, detail)
@@ -350,7 +346,7 @@ class StreamScheduler:
             for plan in self._undone.values():
                 if not plan.active:
                     continue
-                key = (plan.session.scene, self._detail_key(plan.current_detail))
+                key = (plan.session.scene, detail_key(plan.current_detail))
                 estimate = estimates.get(key)
                 if estimate is None:
                     estimate = estimates[key] = self.frame_estimate(plan.session)
@@ -379,7 +375,7 @@ class StreamScheduler:
             plan.current_detail = float(detail)
         self._proxy_for(plan.session.scene, detail)
         self._observed.setdefault(
-            (plan.session.scene, self._detail_key(detail)), float(sim_seconds)
+            (plan.session.scene, detail_key(detail)), float(sim_seconds)
         )
 
     def mark_done(self, session_id: str) -> list[str]:

@@ -5,9 +5,9 @@ A :class:`StreamServer` multiplexes N concurrent client sessions
 
 * **One GBU per worker** — each worker owns a single
   :class:`~repro.core.gbu.GBUDevice` shared by every session assigned
-  to it; frames go through the Listing-1 busy/handshake protocol, so
-  :class:`~repro.errors.DeviceBusyError` is honored rather than
-  assumed away.
+  to it; each frame is one synchronous
+  :meth:`~repro.core.gbu.GBUDevice.render` call, so no frame is ever
+  left in flight between sessions.
 * **Process isolation** — workers are single-process
   ``concurrent.futures.ProcessPoolExecutor`` instances (one per
   worker, giving session→worker affinity for the cross-frame state);

@@ -27,13 +27,13 @@ def exact_renders(monkeypatch):
     from repro.stream.pipeline import FrameStream
 
     calls = []
-    render = FrameStream._render_via_device
+    render = FrameStream._render
 
     def counting(self, *args, **kwargs):
         calls.append(self.spec.name)
         return render(self, *args, **kwargs)
 
-    monkeypatch.setattr(FrameStream, "_render_via_device", counting)
+    monkeypatch.setattr(FrameStream, "_render", counting)
     return calls
 
 

@@ -522,21 +522,21 @@ def _fidelity_pair(n_frames=8, controller_factory=None, content=False):
 
 @pytest.mark.parametrize(
     "config",
-    ["plain", "fixed_qos", "content_cache"],
+    ["plain", "fixed_qos", "content_cache", "fixed_qos+content_cache"],
 )
 def test_fidelity_grid(config):
-    """The ISSUE contract on small configs: identical detail-ladder
+    """The fidelity contract on small configs: identical detail-ladder
     decisions and cache-key sequences, sim_seconds within tolerance
     (exactly zero error here — the models were calibrated on the same
     seeded workload the streams replay)."""
     controller_factory = None
-    if config == "fixed_qos":
+    if "fixed_qos" in config:
         controller_factory = lambda: QualityController(  # noqa: E731
             FrameDeadline(72.0), QoSPolicy.fixed(), nominal_detail=DETAIL
         )
     exact, digest = _fidelity_pair(
         controller_factory=controller_factory,
-        content=config == "content_cache",
+        content="content_cache" in config,
     )
     exact_report = exact.run(8)
     digest_report = digest.run(8)
@@ -555,7 +555,7 @@ def test_fidelity_grid(config):
         exact_keys=exact.key_trace,
         digest_keys=digest.key_trace,
     )
-    if config == "content_cache":
+    if "content_cache" in config:
         assert exact.key_trace  # the grid actually exercised the keys
 
 

@@ -1,4 +1,4 @@
-"""StreamServer: isolation, batching, the busy protocol, scheduling,
+"""StreamServer: isolation, batching, scheduling,
 admission control, worker-crash recovery, the incremental serving
 protocol, and the chaos matrix (crash at every frame index x placement
 x QoS mode)."""
@@ -8,10 +8,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from repro.core.gbu import GBUDevice
 from repro.errors import SimulationError, ValidationError
-from repro.gaussians import build_render_lists, project
-from repro.scenes import build_scene
 from repro.scenes.catalog import CATALOG
 from repro.stream import (
     CameraTrajectory,
@@ -19,7 +16,6 @@ from repro.stream import (
     RoundRobinScheduler,
     StreamServer,
     StreamSession,
-    streaming_config,
 )
 from repro.stream.server import _WorkerState
 
@@ -652,27 +648,3 @@ def test_serve_summary_merge():
     assert merged.sim_frames_per_sec == pytest.approx(10.0)
     empty = ServeSummary.merge([])
     assert empty.total_frames == 0 and empty.sim_frames_per_sec == 0.0
-
-
-def test_device_busy_protocol_is_honored():
-    """A frame left in flight on the shared device is drained, not fatal."""
-    spec = CATALOG["bonsai"]
-    bundle = build_scene(spec, detail=DETAIL)
-    traj = CameraTrajectory.for_scene(spec, "frozen", n_frames=2, detail=DETAIL)
-    device = GBUDevice(config=streaming_config())
-
-    # Another "session" leaves a frame in flight on the worker device.
-    cloud, _ = bundle.frame_cloud(0)
-    projected = project(cloud, traj.camera_at(0))
-    lists = build_render_lists(projected)
-    width, height = projected.image_size
-    stale = np.empty((height, width, 3))
-    device.GBU_render_image(height, width, projected, lists, stale)
-    assert device.GBU_check_status() == 1  # busy
-
-    stream = FrameStream(
-        spec, traj, detail=DETAIL, bundle=bundle, device=device
-    )
-    record = stream.render_next()
-    assert record.frame == 0
-    assert device.GBU_check_status() == 0  # drained and completed
