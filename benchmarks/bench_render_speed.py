@@ -1,7 +1,7 @@
-"""Render-engine speed: reference loops vs. the vectorized backend.
+"""Render-engine speed: the scalar oracle loops vs. the vectorized engine.
 
 Times both rasterizer dataflows (PFS and IRSS) under each
-backend on the catalog's evaluation scenes and writes
+engine on the catalog's evaluation scenes and writes
 ``BENCH_render_speed.json`` at the repo root (instances/sec,
 pixels/sec, per-dataflow and combined speedups), so the perf
 trajectory is tracked across PRs.
@@ -9,14 +9,14 @@ trajectory is tracked across PRs.
 Methodology (also documented in README.md):
 
 * Per scene, Step 1 (projection) and Step 2 (binning + depth sort)
-  run once; both backends rasterize from the *same* render lists, so
+  run once; both engines rasterize from the *same* render lists, so
   the comparison isolates the Step-3 blending engine.
-* Every (scene, backend, dataflow) cell is timed as best-of-N
-  wall-clock with the two backends *interleaved* within each repeat:
-  a load transient on a shared runner hits both backends of a repeat
+* Every (scene, engine, dataflow) cell is timed as best-of-N
+  wall-clock with the two engines *interleaved* within each repeat:
+  a load transient on a shared runner hits both engines of a repeat
   symmetrically, so the asserted speedup — a same-host *ratio* —
   cancels it instead of flaking on it.
-* Backends are pixel-exact (property-tested in
+* The engines are pixel-exact (property-tested in
   ``tests/render/test_backend_parity.py``) and bit-identity is also
   asserted here per scene — the deterministic half of the acceptance
   bar, independent of host load.
@@ -41,8 +41,10 @@ from _harness import (
     scene_list,
     write_bench_json,
 )
-from repro.core.irss import render_irss
-from repro.gaussians import build_render_lists, project, render_reference
+from repro.core.irss import render_irss_loop
+from repro.gaussians import build_render_lists, project
+from repro.gaussians.rasterizer import render_reference_loop
+from repro.render import render_irss_vectorized, render_pfs_vectorized
 from repro.scenes.catalog import EVALUATION_SCENES, build_scene
 
 OUTPUT = bench_output_path("render_speed")
@@ -56,7 +58,12 @@ DEFAULT_SCENE = "bicycle"
 MIN_DEFAULT_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "5.0"))
 
 
-BACKENDS = ("reference", "vectorized")
+#: The two timed engines, as (PFS, IRSS) render functions; the JSON
+#: keys them under "backends".  "reference" is the scalar oracle loops.
+ENGINES = {
+    "reference": (render_reference_loop, render_irss_loop),
+    "vectorized": (render_pfs_vectorized, render_irss_vectorized),
+}
 
 
 def _bench_scene(name: str) -> tuple[dict, object, object]:
@@ -71,18 +78,11 @@ def _bench_scene(name: str) -> tuple[dict, object, object]:
 
     # Deterministic half of the acceptance bar: the engines must be
     # bit-identical before their speeds are worth comparing.
-    pfs_images = {
-        b: render_reference(projected, lists, backend=b).image for b in BACKENDS
-    }
-    irss_images = {
-        b: render_irss(projected, lists, backend=b).image for b in BACKENDS
-    }
-    for images in (pfs_images, irss_images):
-        ref = images[BACKENDS[0]]
-        for backend in BACKENDS[1:]:
-            assert (images[backend] == ref).all(), (
-                f"backend '{backend}' is not bit-identical on {name}"
-            )
+    for loop, vectorized in zip(ENGINES["reference"], ENGINES["vectorized"]):
+        ref = loop(projected, lists).image
+        assert (vectorized(projected, lists).image == ref).all(), (
+            f"{vectorized.__name__} is not bit-identical on {name}"
+        )
 
     row: dict = {
         "scene": name,
@@ -92,22 +92,16 @@ def _bench_scene(name: str) -> tuple[dict, object, object]:
         "backends": {},
     }
     pfs_best = interleaved_best(
-        {
-            b: (lambda b=b: render_reference(projected, lists, backend=b))
-            for b in BACKENDS
-        }
+        {b: (lambda f=pfs: f(projected, lists)) for b, (pfs, _) in ENGINES.items()}
     )
     irss_best = interleaved_best(
-        {
-            b: (lambda b=b: render_irss(projected, lists, backend=b))
-            for b in BACKENDS
-        }
+        {b: (lambda f=irss: f(projected, lists)) for b, (_, irss) in ENGINES.items()}
     )
-    for backend in BACKENDS:
-        pfs_s = pfs_best[backend]
-        irss_s = irss_best[backend]
+    for engine in ENGINES:
+        pfs_s = pfs_best[engine]
+        irss_s = irss_best[engine]
         combined = pfs_s + irss_s
-        row["backends"][backend] = {
+        row["backends"][engine] = {
             "pfs_ms": pfs_s * 1e3,
             "irss_ms": irss_s * 1e3,
             "combined_ms": combined * 1e3,
@@ -168,7 +162,7 @@ def test_render_speed(benchmark):
 
     if default_row is not None:
         assert default_row["speedup"]["combined"] >= MIN_DEFAULT_SPEEDUP, (
-            f"vectorized backend must be >= {MIN_DEFAULT_SPEEDUP}x on "
+            f"vectorized engine must be >= {MIN_DEFAULT_SPEEDUP}x on "
             f"{DEFAULT_SCENE}, measured {default_row['speedup']['combined']:.2f}x"
         )
 
@@ -177,7 +171,7 @@ def test_render_speed(benchmark):
     name = DEFAULT_SCENE if default_row is not None else scenes[0]
     projected, lists = handles[name]
     benchmark.pedantic(
-        lambda: render_reference(projected, lists, backend="vectorized"),
+        lambda: render_pfs_vectorized(projected, lists),
         rounds=3,
         iterations=1,
     )

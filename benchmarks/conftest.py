@@ -9,10 +9,10 @@ responsive while the printed tables use full detail).
 Experiment outputs are cached per session because several figures
 share the same underlying sweep (Fig. 4/5, Fig. 14/15, Tab. VI/VII).
 
-Every experiment renders with the default ``vectorized`` backend.  It
-is pixel-exact against the scalar ``reference`` loops, so the printed
-tables are the ones the loops would give; ``bench_render_speed.py``
-times both backends and checks them against each other per scene.
+Every experiment renders with the one vectorized engine.  It is
+pixel-exact against the scalar oracle loops, so the printed tables are
+the ones the loops would give; ``bench_render_speed.py`` times the
+engine against the loops and checks them against each other per scene.
 """
 
 from __future__ import annotations

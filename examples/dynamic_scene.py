@@ -4,8 +4,8 @@ Slices the 'flame_steak' stand-in at 12 timesteps, renders each frame
 through the GPU baseline model and the GBU-enhanced system, and prints
 the per-frame FPS timeline — the workload breathes as transient
 kernels appear and disappear, but the GBU side stays above 60 FPS.
-Both systems render through the vectorized backend (pixel-exact, ~5x
-faster combined than the reference loops).
+Both systems render through the vectorized engine (pixel-exact, ~5x
+faster combined than the scalar oracle loops).
 
 Run:  PYTHONPATH=src python examples/dynamic_scene.py
 """
@@ -13,8 +13,6 @@ Run:  PYTHONPATH=src python examples/dynamic_scene.py
 from repro.analysis.endtoend import evaluate_scene
 from repro.harness import format_table
 from repro.scenes import build_scene
-
-BACKEND = "vectorized"
 
 
 def main() -> None:
@@ -24,12 +22,8 @@ def main() -> None:
 
     rows = []
     for frame in range(12):
-        baseline = evaluate_scene(
-            bundle.spec, "gpu_pfs", frame=frame, bundle=bundle, backend=BACKEND
-        )
-        gbu = evaluate_scene(
-            bundle.spec, "gbu_full", frame=frame, bundle=bundle, backend=BACKEND
-        )
+        baseline = evaluate_scene(bundle.spec, "gpu_pfs", frame=frame, bundle=bundle)
+        gbu = evaluate_scene(bundle.spec, "gbu_full", frame=frame, bundle=bundle)
         cloud, _ = bundle.frame_cloud(frame)
         rows.append(
             [

@@ -7,9 +7,9 @@ Builds a small random Gaussian cloud, renders it with
 3. the GBU hardware model (fp16 datapath, cycle + energy accounting),
 
 and prints the equivalence/speedup numbers the paper is built on.
-Every render takes `backend=` (`repro.render.backends`).  The default,
-"vectorized", is the instance-batched engine; `backend="reference"`
-runs the scalar loops, and the two give bit-identical images.
+Every render runs the instance-batched engine (`repro.render`); the
+scalar loop `render_reference_loop` is its test oracle and gives a
+bit-identical image.
 
 Run:  PYTHONPATH=src python examples/quickstart.py
 """
@@ -25,6 +25,7 @@ from repro import (
     render_irss,
     render_reference,
 )
+from repro.gaussians.rasterizer import render_reference_loop
 from repro.metrics.image import psnr
 
 
@@ -40,7 +41,7 @@ def main() -> None:
 
     # 1. Reference: Parallel Fragment Shading (tile-lockstep).
     reference = render_reference(projected)
-    loops = render_reference(projected, backend="reference")
+    loops = render_reference_loop(projected)
     print(
         f"PFS     : {reference.stats.fragments_shaded:>9,} fragments shaded, "
         f"{reference.stats.significant_fraction:.1%} significant, "
@@ -58,15 +59,13 @@ def main() -> None:
     )
 
     # 3. GBU: the hardware model (D&B + tile engine + reuse cache, fp16).
-    # The feature configuration (Tab. V axes) and the render backend are
-    # both carried by GBUConfig.
+    # GBUConfig carries the feature configuration (Tab. V axes).
     device = GBUDevice(
         config=GBUConfig(
             use_dnb=True,
             use_cache=True,
             cache_policy="reuse_distance",
             fp16=True,
-            backend="vectorized",
         )
     )
     report = device.render(projected)

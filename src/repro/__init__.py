@@ -50,7 +50,6 @@ from repro.gaussians import (
     render_reference,
 )
 from repro.gpu import GPUTimingModel, ORIN_NX
-from repro.render import get_backend
 from repro.scenes import build_scene, scene_names
 
 __version__ = "1.0.0"
@@ -74,7 +73,6 @@ __all__ = [
     "render_reference",
     "GPUTimingModel",
     "ORIN_NX",
-    "get_backend",
     "build_scene",
     "scene_names",
     "__version__",

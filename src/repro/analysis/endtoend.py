@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import DEFAULT_BACKEND
 from repro.core.gbu import GBUConfig, GBUDevice, GBUReport
 from repro.core.irss import render_irss
 from repro.core.pipeline import SYNC_SECONDS, PipelinedFrame
@@ -54,14 +53,13 @@ class SystemConfig:
     def uses_gbu(self) -> bool:
         return self.name.startswith("gbu")
 
-    def gbu_config(self, backend: str = DEFAULT_BACKEND) -> GBUConfig:
+    def gbu_config(self) -> GBUConfig:
         if not self.uses_gbu:
             raise ValidationError(f"{self.name} has no GBU")
         return GBUConfig(
             use_dnb=self.name in ("gbu_dnb", "gbu_full"),
             use_cache=self.name == "gbu_full",
             fp16=True,
-            backend=backend,
         )
 
 
@@ -108,7 +106,6 @@ def evaluate_scene(
     frame: int = 0,
     detail: float = 1.0,
     bundle: SceneBundle | None = None,
-    backend: str = DEFAULT_BACKEND,
 ) -> SystemResult:
     """Evaluate one configuration on one scene frame.
 
@@ -125,10 +122,6 @@ def evaluate_scene(
     bundle:
         Reuse an already-built scene bundle (avoids regeneration when
         sweeping configurations).
-    backend:
-        Rendering engine for the functional renders ("reference" or
-        "vectorized"); pixel-exact either way, so results are
-        unchanged — only wall-clock differs.
     """
     if isinstance(config, str):
         config = SystemConfig(config)
@@ -140,8 +133,8 @@ def evaluate_scene(
     lists = build_render_lists(projected)
     scales = ScaleFactors.for_scene(spec)
 
-    reference = render_reference(projected, lists, backend=backend)
-    irss = render_irss(projected, lists, backend=backend)
+    reference = render_reference(projected, lists)
+    irss = render_irss(projected, lists)
     workload = FrameWorkload.from_renders(
         reference, irss, lists, len(projected), extra_flops, scales
     )
@@ -174,7 +167,7 @@ def evaluate_scene(
         )
 
     # --- GBU configurations ---
-    gbu_config = config.gbu_config(backend=backend)
+    gbu_config = config.gbu_config()
     device = GBUDevice(config=gbu_config)
     report = device.render(
         projected,
@@ -217,29 +210,26 @@ def evaluate_all_configs(
     spec_or_name: SceneSpec | str,
     frame: int = 0,
     detail: float = 1.0,
-    backend: str = DEFAULT_BACKEND,
 ) -> dict[str, SystemResult]:
     """Run every Tab. V configuration on one scene, reusing the build.
 
     Fig. 14/15, Tab. V and Sec. IV-D all evaluate the static scenes
     by name, so a scene given by catalog name is memoized per (scene,
-    frame, detail, backend): an experiment run after another renders
+    frame, detail): an experiment run after another renders
     nothing the first already rendered.  The returned results are
     shared — treat them as read-only.
     """
     if not isinstance(spec_or_name, str):
-        return _all_configs(spec_or_name, frame, detail, backend)
-    return dict(_catalog_configs(spec_or_name, frame, detail, backend))
+        return _all_configs(spec_or_name, frame, detail)
+    return dict(_catalog_configs(spec_or_name, frame, detail))
 
 
 def _all_configs(
-    spec: SceneSpec, frame: int, detail: float, backend: str
+    spec: SceneSpec, frame: int, detail: float
 ) -> dict[str, SystemResult]:
     bundle = build_scene(spec, detail=detail)
     return {
-        name: evaluate_scene(
-            spec, name, frame=frame, detail=detail, bundle=bundle, backend=backend
-        )
+        name: evaluate_scene(spec, name, frame=frame, detail=detail, bundle=bundle)
         for name in CONFIG_NAMES
     }
 
@@ -248,6 +238,6 @@ def _all_configs(
 # which run after it on its static subset, find all of theirs.
 @functools.lru_cache(maxsize=len(EVALUATION_SCENES))
 def _catalog_configs(
-    name: str, frame: int, detail: float, backend: str
+    name: str, frame: int, detail: float
 ) -> dict[str, SystemResult]:
-    return _all_configs(CATALOG[name], frame, detail, backend)
+    return _all_configs(CATALOG[name], frame, detail)

@@ -38,11 +38,6 @@ COV2D_DILATION = 0.3
 # Minimum camera-space depth for a Gaussian to be considered visible.
 NEAR_PLANE = 0.2
 
-# Render backend of every entry point that is not given one (see
-# repro.render.backends).  Both backends are pixel-exact, so this only
-# sets the host wall-clock of a render.
-DEFAULT_BACKEND = "vectorized"
-
 # DRAM bytes moved per (tile, Gaussian) feature fetch in Rendering
 # Step 3: the fp32 record (2D mean, conic/Cholesky coefficients,
 # color, opacity, threshold, index) padded to DRAM burst granularity.

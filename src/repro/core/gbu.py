@@ -19,12 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from repro.config import (
-    DEFAULT_BACKEND,
-    DEFAULT_CHUNK_SIZE,
-    DEFAULT_SETTINGS,
-    RenderSettings,
-)
+from repro.config import DEFAULT_CHUNK_SIZE, DEFAULT_SETTINGS, RenderSettings
 from repro.core.dnb import reuse_distance_table, run_dnb
 from repro.core.irss import IRSSRenderResult, render_irss
 from repro.core.pipeline import chunk_count, chunked_overlap_seconds
@@ -42,7 +37,6 @@ from repro.gaussians.sorting import RenderLists, build_render_lists
 from repro.gpu.calibration import DEFAULT_GBU_CALIBRATION, GBUCalibration
 from repro.gpu.specs import GBU_SPEC, GBUSpec, GPUSpec, ORIN_NX
 from repro.gpu.workload import ScaleFactors
-from repro.render.backends import get_backend
 
 
 @dataclass(frozen=True)
@@ -68,10 +62,6 @@ class GBUConfig:
     cross_tile_overlap:
         Let Row Buffers stream work across tile boundaries (design
         point); off inserts a per-tile barrier (ablation).
-    backend:
-        Rendering engine used for the functional IRSS render
-        ("reference" or "vectorized").  Both are pixel-identical, so
-        the choice only affects simulation wall-clock.
     """
 
     use_dnb: bool = True
@@ -81,13 +71,10 @@ class GBUConfig:
     chunk_size: int = DEFAULT_CHUNK_SIZE
     interleaved_rows: bool = True
     cross_tile_overlap: bool = True
-    backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
         if self.cache_policy not in POLICIES:
             raise ValidationError(f"unknown cache policy '{self.cache_policy}'")
-        # Fail at configuration time, not mid-render.
-        get_backend(self.backend)
 
 
 @dataclass
@@ -284,7 +271,6 @@ class GBUDevice:
             settings=settings,
             transform=transform,
             fp16=self.config.fp16,
-            backend=self.config.backend,
         )
 
         # --- Tile engine cycles ---

@@ -8,11 +8,10 @@ significant fragments; everything outside is skipped.
 
 Three implementations are provided:
 
-* :func:`render_irss` — the production entry point; dispatches to a
-  rendering backend (see :mod:`repro.render.backends`).  The default
-  "vectorized" backend batches instances across tiles and is an order
-  of magnitude faster than the "reference" backend,
-  :func:`render_irss_loop`, with bit-identical output.
+* :func:`render_irss` — the production entry point; it runs the
+  instance-batched engine of :mod:`repro.render.vectorized`, which is
+  an order of magnitude faster than the loops below and bit-identical
+  to them.
 * :func:`render_irss_loop` — per instance, the per-row intervals come
   from the closed-form oracle (:meth:`IRSSTransform.row_interval`) and
   fragments are evaluated with the shared-intermediate arithmetic
@@ -24,7 +23,8 @@ Three implementations are provided:
   fragment).  It is slow and exists to validate the production path
   and the hardware cycle counts on small inputs.
 
-Both collect the statistics behind the paper's headline claims:
+The two loops are test oracles only; nothing in the serving path calls
+them.  All three collect the statistics behind the paper's headline claims:
 per-fragment FLOPs (11 -> 2), redundant-fragment skip rate (up to
 92.3%), per-row workload imbalance (Fig. 9), and binary-search step
 counts for the Row Generation Engine model.
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import DEFAULT_BACKEND, DEFAULT_SETTINGS, FLOPS, RenderSettings
+from repro.config import DEFAULT_SETTINGS, FLOPS, RenderSettings
 from repro.errors import RenderError
 from repro.gaussians.projection import Projected2D
 from repro.gaussians.sorting import RenderLists, build_render_lists
@@ -186,9 +186,8 @@ def render_irss(
     settings: RenderSettings = DEFAULT_SETTINGS,
     transform: IRSSTransform | None = None,
     fp16: bool = False,
-    backend: str = DEFAULT_BACKEND,
 ) -> IRSSRenderResult:
-    """Render with the IRSS dataflow through a selectable backend.
+    """Render with the IRSS dataflow (the vectorized engine).
 
     Parameters
     ----------
@@ -207,14 +206,13 @@ def render_irss(
         skip logic still uses the fp16-quantized features, so the
         shaded fragment set may differ slightly from fp64 (this is the
         <0.1 PSNR effect of Tab. IV).
-    backend:
-        Rendering engine name ("reference" or "vectorized"); both are
-        pixel-exact, so this only selects an execution strategy (see
-        :mod:`repro.render.backends`).
-    """
-    from repro.render.backends import get_backend
 
-    return get_backend(backend).render_irss(
+    The result is bit-identical to :func:`render_irss_loop`, the test
+    oracle.
+    """
+    from repro.render.vectorized import render_irss_vectorized
+
+    return render_irss_vectorized(
         projected, lists=lists, settings=settings, transform=transform, fp16=fp16
     )
 
@@ -226,7 +224,7 @@ def render_irss_loop(
     transform: IRSSTransform | None = None,
     fp16: bool = False,
 ) -> IRSSRenderResult:
-    """The per-instance, row-vectorized IRSS loop (the "reference" backend)."""
+    """The per-instance, row-vectorized IRSS loop: the test oracle."""
     if lists is None:
         lists = build_render_lists(projected)
     if transform is None:

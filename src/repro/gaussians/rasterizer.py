@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import DEFAULT_BACKEND, DEFAULT_SETTINGS, FLOPS, RenderSettings
+from repro.config import DEFAULT_SETTINGS, FLOPS, RenderSettings
 from repro.errors import RenderError
 from repro.gaussians.projection import Projected2D
 from repro.gaussians.sorting import RenderLists, build_render_lists
@@ -92,9 +92,8 @@ def render_reference(
     projected: Projected2D,
     lists: RenderLists | None = None,
     settings: RenderSettings = DEFAULT_SETTINGS,
-    backend: str = DEFAULT_BACKEND,
 ) -> RenderResult:
-    """Rasterize with the PFS dataflow through a selectable backend.
+    """Rasterize with the PFS dataflow (the vectorized engine).
 
     Parameters
     ----------
@@ -104,16 +103,13 @@ def render_reference(
         Depth-sorted render lists (Step 2); built on demand if omitted.
     settings:
         Blending thresholds and background color.
-    backend:
-        Rendering engine name ("reference" or "vectorized"); both are
-        pixel-exact, so this only selects an execution strategy (see
-        :mod:`repro.render.backends`).
-    """
-    from repro.render.backends import get_backend
 
-    return get_backend(backend).render_pfs(
-        projected, lists=lists, settings=settings
-    )
+    The result is bit-identical to :func:`render_reference_loop`, the
+    scalar oracle the parity tests compare it against.
+    """
+    from repro.render.vectorized import render_pfs_vectorized
+
+    return render_pfs_vectorized(projected, lists=lists, settings=settings)
 
 
 def render_reference_loop(
@@ -121,7 +117,7 @@ def render_reference_loop(
     lists: RenderLists | None = None,
     settings: RenderSettings = DEFAULT_SETTINGS,
 ) -> RenderResult:
-    """The scalar per-(tile, Gaussian) PFS loop (the "reference" backend)."""
+    """The scalar per-(tile, Gaussian) PFS loop: the test oracle."""
     if lists is None:
         lists = build_render_lists(projected)
     grid = lists.grid

@@ -1,19 +1,18 @@
-"""Rendering engines: the backend table and the vectorized backends.
+"""The rendering engine: instance-batched PFS and IRSS.
 
 Quick start::
 
-    from repro.render import get_backend
+    from repro.render import render_pfs_vectorized
 
-    result = get_backend("vectorized").render_pfs(projected)
+    result = render_pfs_vectorized(projected)
 
-Every render entry point (``render_reference``, ``render_irss``,
-``GBUConfig``, ``evaluate_scene``, ``streaming_config``) takes
-``backend=``, defaulting to ``"vectorized"``.  See
-:mod:`repro.render.backends` for the table and
-:mod:`repro.render.vectorized` for the instance-batched engine.
+This is the one engine every render runs on: ``render_reference``,
+``render_irss``, ``GBUDevice``, ``evaluate_scene`` and the stream
+pipelines all call it.  The scalar loops ``render_reference_loop``,
+``render_irss_loop`` and ``render_irss_sequential`` stay only as test
+oracles, bit-identical to it.  See :mod:`repro.render.vectorized`.
 """
 
-from repro.render.backends import BACKENDS, RasterizerBackend, get_backend
 from repro.render.vectorized import (
     build_tile_batches,
     render_irss_vectorized,
@@ -21,10 +20,7 @@ from repro.render.vectorized import (
 )
 
 __all__ = [
-    "BACKENDS",
-    "RasterizerBackend",
     "build_tile_batches",
-    "get_backend",
     "render_irss_vectorized",
     "render_pfs_vectorized",
 ]

@@ -1,7 +1,7 @@
-"""Instance-batched vectorized rasterizer backends (PFS and IRSS).
+"""The instance-batched rendering engine (PFS and IRSS).
 
-The reference rasterizers iterate Python-level over every
-(tile, Gaussian) instance, which caps the whole repository at toy
+The scalar oracle loops iterate Python-level over every
+(tile, Gaussian) instance, which would cap the whole repository at toy
 resolutions.  This module restructures the same dataflow for
 throughput — the GauRast/FLICKER observation that the win comes from
 batching work *across* instances rather than iterating them:
@@ -41,7 +41,8 @@ batching work *across* instances rather than iterating them:
   unbuffered ``np.add.at`` in depth order everywhere else.  Both
   reproduce the reference add sequence exactly.
 
-Both backends are pixel-exact against their references: bit-identical
+Both renderers are pixel-exact against their oracle loops
+(``render_reference_loop``, ``render_irss_loop``): bit-identical
 images, transmittance, contributor counts, and identical
 ``RenderStats`` / ``IRSSStats`` / ``TileRowWorkload`` counters
 (including early-termination semantics and the fp16 Row-PE datapath).

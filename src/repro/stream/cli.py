@@ -24,10 +24,8 @@ import signal
 import sys
 from dataclasses import asdict
 
-from repro.config import DEFAULT_BACKEND
 from repro.core.reuse_cache import POLICIES
 from repro.errors import ValidationError
-from repro.render.backends import get_backend
 from repro.scenes.catalog import CATALOG
 from repro.stream.content_cache import ContentCacheConfig, economics_to_dict
 from repro.stream.digest import WorkloadModelTable
@@ -127,11 +125,6 @@ def _shared_flags(*groups: str) -> list[argparse.ArgumentParser]:
         default=16,
         help="frames per session or calibration model "
         "(default: %(default)s)",
-    )
-    parsers["render"].add_argument(
-        "--backend",
-        default=DEFAULT_BACKEND,
-        help="render backend (default: %(default)s)",
     )
     parsers["render"].add_argument(
         "--cache-policy",
@@ -395,9 +388,6 @@ RULES = (
     ("details", *SESSION_FIELD_RULES["detail"]),
     ("target_fps", *SESSION_FIELD_RULES["target_fps"]),
     ("seed", *SESSION_FIELD_RULES["seed"]),
-    # An unknown backend raises get_backend's own error, which lists
-    # the known names.
-    ("backend", lambda name: get_backend(name) is not None, ""),
     ("shards", lambda n: n >= 1, "{label} must be at least 1"),
     ("pose_quant", lambda q: q >= 0, "{label} cannot be negative"),
     ("nodes", lambda n: n >= 1, "{label} must be at least 1"),
@@ -537,7 +527,7 @@ def _write(path: str, text: str) -> None:
 # ----------------------------------------------------------------------
 def make_sessions(args: argparse.Namespace) -> list[StreamSession]:
     """Deterministic per-client sessions from the CLI arguments."""
-    config = streaming_config(backend=args.backend, cache_policy=args.cache_policy)
+    config = streaming_config(cache_policy=args.cache_policy)
     qos = None
     if args.target_fps is not None:
         adaptive = args.qos == "adaptive"
@@ -820,7 +810,7 @@ def _run_calibrate(args: argparse.Namespace) -> int:
         details=tuple(args.details),
         trajectories=tuple(args.trajectories),
         n_frames=args.frames,
-        config=streaming_config(backend=args.backend, cache_policy=args.cache_policy),
+        config=streaming_config(cache_policy=args.cache_policy),
         seed=args.seed,
         jitter=args.jitter,
     )

@@ -35,7 +35,7 @@ over exactly the inputs that determine its pixels and timing:
 4. **Animation clock** — ``SceneBundle.frame_clock(k)``, so dynamic
    scenes only dedup frames showing the same animation phase.
 5. **Detail rung** — the LoD the frame was rendered at.
-6. **Render mode** — the frame's shard count plus backend, fp16, row
+6. **Render mode** — the frame's shard count plus fp16, row
    interleaving and cross-tile overlap: everything in
    :class:`~repro.core.gbu.GBUConfig` that changes pixels or compute
    cycles.  ``cache_policy`` is deliberately *excluded*: the temporal
@@ -144,7 +144,6 @@ def pose_cell(camera: Camera, pose_quant: float) -> tuple[int, int, int]:
 
 
 def render_mode_key(
-    backend: str,
     fp16: bool,
     shards: int,
     interleaved_rows: bool,
@@ -155,19 +154,17 @@ def render_mode_key(
     Everything that changes pixels or compute cycles; the temporal
     ``cache_policy`` is excluded on purpose (see module docstring).
     """
-    return (backend, fp16, shards, interleaved_rows, cross_tile_overlap)
+    return (fp16, shards, interleaved_rows, cross_tile_overlap)
 
 
 def render_mode(config: GBUConfig, shards: int) -> tuple:
     """The render mode of one frame rendered on ``shards``.
 
-    Exactly what the exact pipeline's device renders with: the
-    backend and every config knob that changes pixels or compute
-    cycles.  The exact and digest pipelines both key frames through
+    Exactly what the exact pipeline's device renders with: every
+    config knob that changes pixels or compute cycles.  The exact and digest pipelines both key frames through
     this one function, so their content keys agree by construction.
     """
     return render_mode_key(
-        config.backend,
         config.fp16,
         shards,
         config.interleaved_rows,

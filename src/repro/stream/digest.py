@@ -92,7 +92,7 @@ from repro.stream.trajectory import CameraTrajectory
 #: Schema version of the serialized model table.  Bumped whenever the
 #: render ``mode`` tuple changes shape, so a table written with another
 #: shape is refused rather than silently mismatched.
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 #: Most frames one table's frame memo holds; the oldest entry is
 #: evicted first.  A fixed-detail workload needs one entry per (model,

@@ -35,7 +35,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.config import DEFAULT_BACKEND
 from repro.core.gbu import GBUConfig, GBUDevice
 from repro.core.pipeline import SYNC_SECONDS, PipelinedFrame
 from repro.core.reuse_cache import FrameCacheSample
@@ -58,7 +57,6 @@ PIPELINES = ("exact", "digest")
 
 
 def streaming_config(
-    backend: str = DEFAULT_BACKEND,
     cache_policy: str = "reuse_distance",
     fp16: bool = True,
     use_cache: bool = True,
@@ -74,7 +72,6 @@ def streaming_config(
         use_cache=use_cache,
         cache_policy=cache_policy,
         fp16=fp16,
-        backend=backend,
     )
 
 

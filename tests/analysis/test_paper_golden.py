@@ -5,8 +5,8 @@ Every simulated number in the structured ``data`` of
 into ``tests/analysis/golden_paper.json`` at a reduced scene detail:
 FPS, frame and stage seconds, energy, cycles, cache hit rates and
 bytes, plus a SHA-256 of every large array (images, per-row counters).
-No field holds host wall-clock, so the snapshot is compared exactly.  A refactor of the render stack (a backend,
-its default, the device model's plumbing) that moves any paper number
+No field holds host wall-clock, so the snapshot is compared exactly.  A refactor of the render stack (the engine,
+the device model's plumbing) that moves any paper number
 fails here with a per-field diff.
 
 When a change *intentionally* alters a paper number, regenerate with:

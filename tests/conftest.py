@@ -78,7 +78,7 @@ def dispatches(monkeypatch):
 @pytest.fixture
 def irss_chunks(monkeypatch):
     """``count(projected, lists=None, **kwargs)`` renders once through
-    the vectorized IRSS backend at the current chunk budget and returns
+    the vectorized IRSS engine at the current chunk budget and returns
     ``(tile_chunks, depth_chunks)``: the tile chunks it materialized and
     the depth chunks it scanned.  More depth chunks than tile chunks
     means some tile chunk really was split in depth.  Counts calls,

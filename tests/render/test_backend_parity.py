@@ -1,9 +1,9 @@
-"""Backend parity: the vectorized engine is pixel-exact.
+"""Engine parity: the vectorized engine is pixel-exact.
 
 Randomized-scene property tests asserting that the instance-batched
-vectorized backend produces *bit-identical* images, transmittance,
-contributor counts and workload statistics versus the scalar
-reference loops — for the PFS rasterizer, the IRSS rasterizer, and
+vectorized engine produces *bit-identical* images, transmittance,
+contributor counts and workload statistics versus the scalar oracle
+loops — for the PFS rasterizer, the IRSS rasterizer, and
 the IRSS fp16 Row-PE datapath — including the early-termination and
 depth-chunking code paths.
 """
@@ -11,22 +11,16 @@ depth-chunking code paths.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.render.vectorized as vectorized
 from repro.config import TRANSMITTANCE_EPS
-from repro.core.irss import render_irss, render_irss_loop
+from repro.core.irss import render_irss_loop
 from repro.gaussians import Camera, GaussianCloud, build_render_lists, project
 from repro.gaussians.projection import Projected2D
-from repro.gaussians.rasterizer import render_reference, render_reference_loop
-from repro.render import (
-    BACKENDS,
-    get_backend,
-    render_irss_vectorized,
-    render_pfs_vectorized,
-)
+from repro.gaussians.rasterizer import render_reference_loop
+from repro.render import render_irss_vectorized, render_pfs_vectorized
 from repro.scenes.catalog import build_scene
 
 WORKLOAD_FIELDS = (
@@ -120,7 +114,7 @@ class TestRandomizedParity:
 
 class TestEdgeCases:
     def test_empty_scene(self):
-        """Every Gaussian culled: both backends return background only."""
+        """Every Gaussian culled: both engines return background only."""
         rng = np.random.default_rng(0)
         cloud = GaussianCloud.random(10, rng, extent=0.3)
         # Camera faces away from the cloud, so projection culls all.
@@ -201,11 +195,13 @@ class TestEdgeCases:
         assert_pfs_exact(projected)
 
     def test_serving_frame_fp16(self):
-        """One real serving frame: bicycle at detail 0.25 through the
-        fp16 Row-PE datapath."""
-        bundle = build_scene("bicycle", detail=0.25)
-        cloud, _ = bundle.frame_cloud(0)
-        assert_irss_exact(project(cloud, bundle.camera), fp16=True)
+        """Real serving frames through the fp16 Row-PE datapath: both
+        scenes the serving golden renders (bicycle and female_4), at
+        its detail 0.25."""
+        for scene in ("bicycle", "female_4"):
+            bundle = build_scene(scene, detail=0.25)
+            cloud, _ = bundle.frame_cloud(0)
+            assert_irss_exact(project(cloud, bundle.camera), fp16=True)
 
     def test_depth_chunking_continuation_path(self, monkeypatch, irss_chunks):
         """A tiny fragment budget forces depth-chunked processing with
@@ -256,40 +252,3 @@ class TestBinningParity:
                 per_tile_vec[t], np.asarray(per_tile_loop[t], dtype=np.int64)
             )
 
-
-class TestRegistry:
-    def test_backends_registered(self):
-        assert set(BACKENDS) == {"reference", "vectorized"}
-        for name, backend in BACKENDS.items():
-            assert get_backend(name) is backend
-
-    def test_unknown_backend_rejected(self):
-        from repro.errors import ValidationError
-
-        with pytest.raises(ValidationError):
-            get_backend("no-such-backend")
-        with pytest.raises(ValidationError):
-            render_reference(_scene(1, 5), backend="no-such-backend")
-
-    def test_dispatch_selects_backend(self):
-        projected = _scene(9, 40)
-        via_param = render_reference(projected, backend="vectorized")
-        direct = render_pfs_vectorized(projected)
-        np.testing.assert_array_equal(via_param.image, direct.image)
-        irss_via = render_irss(projected, backend="vectorized")
-        irss_direct = render_irss_vectorized(projected)
-        np.testing.assert_array_equal(irss_via.image, irss_direct.image)
-
-    def test_default_is_vectorized_and_unknown_names_both(self):
-        import inspect
-
-        from repro.analysis.endtoend import evaluate_scene
-        from repro.core.gbu import GBUConfig
-        from repro.errors import ValidationError
-
-        assert GBUConfig().backend == "vectorized"
-        default = inspect.signature(evaluate_scene).parameters["backend"].default
-        assert default == "vectorized"
-        with pytest.raises(ValidationError) as exc:
-            GBUConfig(backend="no-such-backend")
-        assert "reference" in str(exc.value) and "vectorized" in str(exc.value)

@@ -41,7 +41,6 @@ FLAG_SURFACE = {
         "--detail": (1.0, None, float, None),
         "--target-fps": (None, None, float, None),
         "--qos": ("adaptive", ["adaptive", "fixed"], None, None),
-        "--backend": ("vectorized", None, None, None),
         "--shards": (1, None, int, None),
         "--cache-policy": (
             "reuse_distance", ["fifo", "lru", "reuse_distance"],
@@ -98,7 +97,6 @@ FLAG_SURFACE = {
             ["orbit", "dolly", "head_jitter", "frozen"], None, "+",
         ),
         "--frames": (8, None, int, None),
-        "--backend": ("vectorized", None, None, None),
         "--cache-policy": (
             "reuse_distance", ["fifo", "lru", "reuse_distance"],
             None, None,
@@ -346,15 +344,7 @@ class TestFleetSubcommand:
 
 
 class TestRenderModeAndShards:
-    """The render backend and intra-frame sharding flags."""
-
-    def test_unknown_backend_lists_registered_names(self, capsys):
-        assert main(SMALL + ["--backend", "quantum"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "quantum" in err
-        # The clean exit names the valid choices.
-        assert "vectorized" in err and "reference" in err
+    """The intra-frame sharding flag."""
 
     def test_non_positive_shards_rejected(self, capsys):
         assert main(SMALL + ["--shards", "0"]) == 2
@@ -419,6 +409,17 @@ class TestModelsErrorRouting:
         argv = SMALL + ["--pipeline", "digest", "--models", str(bad)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_version_2_models_table(self, capsys, tmp_path):
+        """A table in the version-2 format (render modes led by a
+        backend name) is refused, not served from mismatched models."""
+        table = tmp_path / "models.json"
+        table.write_text(json.dumps({"version": 2, "models": []}))
+        argv = SMALL + ["--pipeline", "digest", "--models", str(table)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "model table version 2 is not supported" in err
 
     def test_models_without_digest_pipeline(self, capsys, tmp_path):
         table = tmp_path / "models.json"

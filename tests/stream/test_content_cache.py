@@ -227,7 +227,7 @@ def test_frame_content_key_sensitivity():
     — and with nothing else."""
     spec = CATALOG["bicycle"]
     camera = _camera([1.0, 2.0, 3.0])
-    mode = render_mode_key("vectorized", True, 1, False, False)
+    mode = render_mode_key(True, 1, False, False)
     base = frame_content_key(spec, camera, 0, DETAIL, mode, 0.0)
     assert base == frame_content_key(spec, camera, 0, DETAIL, mode, 0.0)
     assert base != frame_content_key(CATALOG["bonsai"], camera, 0, DETAIL,
@@ -235,11 +235,10 @@ def test_frame_content_key_sensitivity():
     assert base != frame_content_key(spec, camera, 1, DETAIL, mode, 0.0)
     assert base != frame_content_key(spec, camera, 0, 0.5, mode, 0.0)
     for other_mode in [
-        render_mode_key("reference", True, 1, False, False),
-        render_mode_key("vectorized", False, 1, False, False),
-        render_mode_key("vectorized", True, 4, False, False),
-        render_mode_key("vectorized", True, 1, True, False),
-        render_mode_key("vectorized", True, 1, False, True),
+        render_mode_key(False, 1, False, False),
+        render_mode_key(True, 4, False, False),
+        render_mode_key(True, 1, True, False),
+        render_mode_key(True, 1, False, True),
     ]:
         assert base != frame_content_key(spec, camera, 0, DETAIL, other_mode,
                                          0.0)

@@ -10,8 +10,8 @@ Two families, per the correctness contract in
   direction and viewers see someone else's frame, in the other and
   dedup never fires.
 
-* **Exact-backend byte identity** — for arbitrary trajectories and
-  both exact backends, a dedup-served frame hashes byte-identical
+* **Exact-pipeline byte identity** — for arbitrary trajectories, a
+  dedup-served frame hashes byte-identical
   (SHA-256 over shape, dtype and buffer — the golden suite's hash) to
   a fresh render of the same frame, with bit-equal simulated timing.
   The cache must be a pure wall-clock optimization.
@@ -59,7 +59,7 @@ def _eye_camera(cell, offset, pitch):
 
 
 def _key(camera, pitch):
-    mode = render_mode_key("vectorized", True, 1, False, False)
+    mode = render_mode_key(True, 1, False, False)
     return frame_content_key(CATALOG["bicycle"], camera, 0, DETAIL, mode, pitch)
 
 
@@ -99,14 +99,13 @@ def _image_hash(image) -> str:
 
 
 @given(
-    backend=st.sampled_from(["reference", "vectorized"]),
     kind=st.sampled_from(["orbit", "head_jitter"]),
     seed=st.integers(0, 7),
 )
 @settings(max_examples=8, deadline=None)
-def test_exact_backend_dedup_is_byte_identical(backend, kind, seed):
+def test_exact_backend_dedup_is_byte_identical(kind, seed):
     """A frame served from the cache hashes identical to a fresh
-    render of the same frame on the exact backends, with bit-equal
+    render of the same frame on the exact pipeline, with bit-equal
     simulated latency."""
     spec = CATALOG["female_4"]
     trajectory = CameraTrajectory.for_scene(
@@ -119,7 +118,7 @@ def test_exact_backend_dedup_is_byte_identical(backend, kind, seed):
         return FrameStream(
             "female_4",
             trajectory,
-            config=streaming_config(backend=backend),
+            config=streaming_config(),
             detail=DETAIL,
             keep_images=True,
             content=view,
@@ -134,7 +133,7 @@ def test_exact_backend_dedup_is_byte_identical(backend, kind, seed):
     fresh = FrameStream(
         "female_4",
         trajectory,
-        config=streaming_config(backend=backend),
+        config=streaming_config(),
         detail=DETAIL,
         keep_images=True,
     )

@@ -107,6 +107,19 @@ def test_model_table_rejects_bad_payloads():
         WorkloadModelTable.from_json('{"version": 999, "models": []}')
 
 
+def test_model_table_refuses_version_2():
+    """A version-2 table keyed its modes with a leading render-backend
+    name; read as today's table, those modes would never match and
+    ``lookup`` would fall back to a model of another mode."""
+    payload = json.loads(_table().to_json())
+    payload["version"] = 2
+    for model in payload["models"]:
+        model["mode"] = ["vectorized", *model["mode"]]
+    with pytest.raises(ValidationError, match="model table version 2 is not "
+                       "supported"):
+        WorkloadModelTable.from_json(json.dumps(payload))
+
+
 def test_model_from_dict_rejects_unknown_fields():
     payload = _table().models[0].to_dict()
     payload["surprise"] = 1

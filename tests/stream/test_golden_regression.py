@@ -3,12 +3,13 @@
 A 2-session x 6-frame serve is snapshotted into
 ``tests/stream/golden_serve.json``: the ServeSummary scalars plus, per
 frame, the simulated latency, cache counters, instance counts and a
-SHA-256 of the rendered image bytes.  Both render backends must
-reproduce the snapshot *exactly* — the backends are bit-identical by
-contract, and the serving pipeline on top of them is deterministic —
-so any refactor that silently drifts images, latencies or cache
-behaviour fails here first, with a per-field diff instead of a distant
-downstream symptom.
+SHA-256 of the rendered image bytes.  The serve must reproduce the
+snapshot *exactly* — the serving pipeline is deterministic — so any
+refactor that silently drifts images, latencies or cache behaviour
+fails here first, with a per-field diff instead of a distant
+downstream symptom.  The frames' pixels are also checked against the
+scalar oracle loops, scene by scene, in
+``tests/render/test_backend_parity.py`` (``test_serving_frame_fp16``).
 
 When a change *intentionally* alters serving output, regenerate with:
 
@@ -39,13 +40,12 @@ pytestmark = pytest.mark.golden
 
 FIXTURE = Path(__file__).parent / "golden_serve.json"
 
-BACKENDS = ("reference", "vectorized")
 DETAIL = 0.25
 N_FRAMES = 6
 
 
-def _sessions(backend: str) -> list[StreamSession]:
-    config = streaming_config(backend=backend)
+def _sessions() -> list[StreamSession]:
+    config = streaming_config()
     heavy, light = CATALOG["bicycle"], CATALOG["female_4"]
     return [
         StreamSession(
@@ -79,10 +79,10 @@ def _image_hash(image) -> str:
     return digest.hexdigest()
 
 
-def _snapshot(backend: str) -> dict:
+def _snapshot() -> dict:
     """Serve the golden scenario and flatten it to JSON-safe values."""
     with StreamServer(workers=0) as server:
-        results, summary = server.serve_timed(_sessions(backend))
+        results, summary = server.serve_timed(_sessions())
     return {
         "summary": {
             "workers": summary.workers,
@@ -113,9 +113,9 @@ def _snapshot(backend: str) -> dict:
     }
 
 
-def _content_sessions(backend: str) -> list[StreamSession]:
+def _content_sessions() -> list[StreamSession]:
     """Two viewers on the identical orbit — the dedup-path scenario."""
-    config = streaming_config(backend=backend)
+    config = streaming_config()
     spec = CATALOG["bicycle"]
     trajectory = CameraTrajectory.for_scene(
         spec, "orbit", n_frames=N_FRAMES, detail=DETAIL
@@ -133,13 +133,13 @@ def _content_sessions(backend: str) -> list[StreamSession]:
     ]
 
 
-def _content_snapshot(backend: str) -> dict:
+def _content_snapshot() -> dict:
     """Serve two co-located viewers through the content cache and pin
     the dedup path: which tier served every frame, the exact per-tier
     hit/miss/byte counters, and the served images' hashes (which must
     equal the renderer's)."""
     with StreamServer(workers=0, content_cache=ContentCacheConfig()) as server:
-        results = server.serve(_content_sessions(backend))
+        results = server.serve(_content_sessions())
         economics = economics_to_dict(server.content_totals)
     return {
         "economics": economics,
@@ -160,30 +160,28 @@ def _content_snapshot(backend: str) -> dict:
     }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_serve_matches_golden_snapshot(backend):
+def test_serve_matches_golden_snapshot():
     assert FIXTURE.exists(), (
         f"golden fixture {FIXTURE} is missing; regenerate it with "
         "REPRO_GOLDEN_REGEN=1 PYTHONPATH=src python "
         "tests/stream/test_golden_regression.py"
     )
     golden = json.loads(FIXTURE.read_text())
-    snapshot = _snapshot(backend)
+    snapshot = _snapshot()
     assert snapshot["summary"] == golden["summary"], (
-        f"[{backend}] serve summary drifted from the golden snapshot; "
+        "serve summary drifted from the golden snapshot; "
         "if intentional, regenerate the fixture (see module docstring)"
     )
     assert set(snapshot["sessions"]) == set(golden["sessions"])
     for session_id, frames in snapshot["sessions"].items():
         for mine, ref in zip(frames, golden["sessions"][session_id]):
             assert mine == ref, (
-                f"[{backend}] {session_id} frame {mine['frame']} drifted "
+                f"{session_id} frame {mine['frame']} drifted "
                 f"from the golden snapshot: {mine} != {ref}"
             )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_content_dedup_matches_golden_snapshot(backend):
+def test_content_dedup_matches_golden_snapshot():
     """The dedup serve is pinned end to end: tier provenance, per-tier
     economics counters, timing and image hashes must all replay the
     committed snapshot exactly."""
@@ -192,16 +190,16 @@ def test_content_dedup_matches_golden_snapshot(backend):
         f"golden fixture {FIXTURE} predates the content-cache section; "
         "regenerate it (see module docstring)"
     )
-    snapshot = _content_snapshot(backend)
+    snapshot = _content_snapshot()
     assert snapshot["economics"] == golden["content"]["economics"], (
-        f"[{backend}] content-cache economics drifted from the golden "
+        "content-cache economics drifted from the golden "
         "snapshot; if intentional, regenerate the fixture"
     )
     assert set(snapshot["sessions"]) == set(golden["content"]["sessions"])
     for session_id, frames in snapshot["sessions"].items():
         for mine, ref in zip(frames, golden["content"]["sessions"][session_id]):
             assert mine == ref, (
-                f"[{backend}] {session_id} frame {mine['frame']} drifted "
+                f"{session_id} frame {mine['frame']} drifted "
                 f"from the golden content snapshot: {mine} != {ref}"
             )
     # The dedup-served viewer must re-emit the renderer's exact bytes.
@@ -214,21 +212,10 @@ def test_content_dedup_matches_golden_snapshot(backend):
 
 
 def _regenerate() -> None:  # pragma: no cover - maintenance entry point
-    import sys
-
-    snapshots = {backend: _snapshot(backend) for backend in BACKENDS}
-    contents = {backend: _content_snapshot(backend) for backend in BACKENDS}
-    first = snapshots[BACKENDS[0]]
-    first_content = contents[BACKENDS[0]]
-    for backend in BACKENDS:
-        if snapshots[backend] != first or contents[backend] != first_content:
-            sys.exit(
-                f"backend '{backend}' disagrees with '{BACKENDS[0]}'; "
-                "fix backend parity before committing a golden fixture"
-            )
-    first["content"] = first_content
-    FIXTURE.write_text(json.dumps(first, indent=2) + "\n")
-    print(f"wrote {FIXTURE} ({first['summary']['total_frames']} frames)")
+    snapshot = _snapshot()
+    snapshot["content"] = _content_snapshot()
+    FIXTURE.write_text(json.dumps(snapshot, indent=2) + "\n")
+    print(f"wrote {FIXTURE} ({snapshot['summary']['total_frames']} frames)")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -5,7 +5,15 @@
 method moved to a base class, or a module global renamed, breaks
 ``perfbench/run.py --trace 1`` at start-up.  Installing (and undoing)
 every wrapper in a fresh interpreter catches that in the tier-1 suite.
+
+A wrapper can also install and still never fire: ``layers.py`` wraps
+module globals such as ``repro.core.gbu.render_irss``, and a caller
+that stops going through that global leaves its span silently empty.
+So the probe serves one tiny exact session under the wrappers and
+checks that every render-stack and server span was entered.
 """
+
+import json
 
 import os
 import subprocess
@@ -15,13 +23,38 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 PROBE = """
+import json
+
 import layers
 import tracing
+from repro.scenes.catalog import CATALOG
+from repro.stream import CameraTrajectory, StreamServer, StreamSession
 
 tracer = tracing.Tracer()
 layers.install(tracer)
+tracer.enabled = True
+trajectory = CameraTrajectory.for_scene(
+    CATALOG["nerf_lego"], "orbit", n_frames=2, detail=0.25
+)
+with StreamServer(workers=0) as server:
+    server.serve([StreamSession("probe", "nerf_lego", trajectory, detail=0.25)])
 tracer.uninstall()
+print(json.dumps({name: calls for name, (_, _, calls) in tracer.totals().items()}))
 """
+
+#: Spans one exact session must enter; ``core.irss.blend`` wraps the
+#: ``render_irss`` global that ``GBUDevice.render`` calls.
+SERVED_SPANS = (
+    "gaussians.projection.project",
+    "stream.binning.build",
+    "core.irss.blend",
+    "core.tile_engine.model",
+    "core.reuse_cache.observe",
+    "core.gbu.render",
+    "stream.pipeline.frame",
+    "stream.checkpoint.capture",
+    "stream.server.step",
+)
 
 
 def test_perfbench_layers_install_on_the_current_tree():
@@ -34,3 +67,6 @@ def test_perfbench_layers_install_on_the_current_tree():
         capture_output=True, text=True, timeout=120, env=env, cwd=ROOT,
     )
     assert done.returncode == 0, done.stderr
+    calls = json.loads(done.stdout.splitlines()[-1])
+    silent = [span for span in SERVED_SPANS if calls.get(span, 0) < 1]
+    assert not silent, f"spans never entered while serving: {silent}"
