@@ -22,10 +22,12 @@ A checkpoint is an in-memory value: it moves by reference inside a
 process and by pickle to a respawned worker, another node, or the
 gateway's parked-session table.  There is no stored file format.
 
-Checkpoints travel from worker to server on every successful tick and
-back to a worker on restore, so the only state lost in a crash is the
-tick in flight — which the server simply re-renders (deterministically)
-after replaying the checkpoint.
+A subprocess worker ships a checkpoint to the server with every
+successful tick, and the server sends it back to a worker on restore,
+so the only state lost in a crash is the tick in flight — which the
+server simply re-renders (deterministically) after replaying the
+checkpoint.  An in-process worker ships none: the server captures one
+from the live stream when extract, migrate or recover asks for it.
 
 Recovery invariant: a session restored from the checkpoint of frame
 ``k-1`` renders frames ``k, k+1, ...`` byte-identical (images,

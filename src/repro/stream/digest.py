@@ -556,8 +556,9 @@ class _DigestCacheState:
         self._resident_lines = 0
 
     def export_state(self) -> TemporalCacheState:
-        # Exports run once per rendered frame (checkpointing), and the
-        # resident set is always a prefix of the line-id range.
+        # Exports run on every checkpoint capture (each rendered frame
+        # on a subprocess worker), and the resident set is always a
+        # prefix of the line-id range.
         return _cache_snapshot(
             self.policy,
             self.capacity_lines,

@@ -168,12 +168,15 @@ class TickResult:
     ``frames`` holds the rendered (session, record) pairs;
     ``done`` names sessions whose frame budget is now exhausted (the
     scheduler drops them from future ticks); ``checkpoints`` snapshots
-    every session that rendered, enabling crash recovery and
-    migration; ``content`` carries the tick's per-tier
+    every session that rendered on a subprocess worker, enabling crash
+    recovery and migration; ``content`` carries the tick's per-tier
     content-cache economics (empty without a content cache).
 
-    Only a worker's own result carries ``checkpoints``: the server
-    keeps each session's latest one, and :meth:`merged` leaves them out.
+    Only a subprocess worker's own result carries ``checkpoints``: the
+    server keeps each session's latest one, and :meth:`merged` leaves
+    them out.  An in-process worker ships none; the server cuts a
+    checkpoint from its live stream when extract, migrate or recover
+    asks for one.
     """
 
     frames: list[tuple[str, FrameRecord]] = field(default_factory=list)

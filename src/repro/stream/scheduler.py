@@ -83,7 +83,10 @@ class _SessionPlan:
     ``current_detail`` tracks the detail the session actually renders
     at — it starts at the descriptor's nominal detail and follows the
     QoS controller's rung as frames are observed, so cost estimates
-    for adaptive sessions stay honest.
+    for adaptive sessions stay honest.  ``key`` is the estimate key
+    ``(scene, detail_key(current_detail))``, recomputed only when
+    ``current_detail`` changes; ``observed`` says whether a frame at
+    that key has been fed to the estimates yet.
     """
 
     session: "StreamSession"
@@ -91,9 +94,12 @@ class _SessionPlan:
     frames_done: int = 0
     done: bool = False
     current_detail: float = 0.0
+    key: tuple[str, float] = ("", 0.0)
+    observed: bool = False
 
     def __post_init__(self) -> None:
         self.current_detail = float(self.session.detail)
+        self.key = (self.session.scene, detail_key(self.current_detail))
 
     @property
     def admitted(self) -> bool:
@@ -142,8 +148,8 @@ class StreamScheduler:
         #: without an O(sessions) scan on every admission check).
         self._active_count = 0
         self._proxy: dict[tuple[str, float], float] = {}
-        for s in sessions:
-            self._proxy_for(s.scene, s.detail)
+        for plan in self._plans.values():
+            self._proxy_at(plan.key, plan.session.detail)
         self._observed: dict[tuple[str, float], float] = {}
         self.busy_seconds = {w: 0.0 for w in range(self.workers)}
         self.migrations: list[Migration] = []
@@ -180,7 +186,7 @@ class StreamScheduler:
         plan = _SessionPlan(session)
         self._plans[session.session_id] = plan
         self._undone[session.session_id] = plan
-        self._proxy_for(session.scene, session.detail)
+        self._proxy_at(plan.key, session.detail)
         self._queue.append(session.session_id)
         return session.session_id in self.admit()
 
@@ -208,7 +214,7 @@ class StreamScheduler:
             raise ValidationError("frames_done cannot be negative")
         plan = _SessionPlan(session)
         plan.frames_done = int(frames_done)
-        self._proxy_for(session.scene, session.detail)
+        self._proxy_at(plan.key, session.detail)
         plan.worker = self._place(session) if worker is None else worker
         if not 0 <= plan.worker < self.workers:
             raise ValidationError(
@@ -276,10 +282,14 @@ class StreamScheduler:
     # -- cost model -----------------------------------------------------
     def _proxy_for(self, scene: str, detail: float) -> float:
         """The static cost proxy for ``(scene, detail)`` (memoized)."""
-        key = (scene, detail_key(detail))
-        if key not in self._proxy:
-            self._proxy[key] = self._estimator(scene, detail)
-        return self._proxy[key]
+        return self._proxy_at((scene, detail_key(detail)), detail)
+
+    def _proxy_at(self, key: tuple[str, float], detail: float) -> float:
+        """:meth:`_proxy_for` with the key already computed."""
+        proxy = self._proxy.get(key)
+        if proxy is None:
+            proxy = self._proxy[key] = self._estimator(key[0], detail)
+        return proxy
 
     def frame_estimate(
         self, session: "StreamSession", detail: float | None = None
@@ -298,15 +308,16 @@ class StreamScheduler:
         3. the static proxy, unit-calibrated against whatever other
            scenes have been observed.
         """
-        if detail is None:
-            plan = self._plans.get(session.session_id)
-            detail = (
-                plan.current_detail if plan is not None else session.detail
-            )
-        key = (session.scene, detail_key(detail))
+        plan = self._plans.get(session.session_id) if detail is None else None
+        if plan is not None:
+            key, detail = plan.key, plan.current_detail
+        else:
+            if detail is None:
+                detail = session.detail
+            key = (session.scene, detail_key(detail))
         if key in self._observed:
             return self._observed[key]
-        proxy = self._proxy_for(session.scene, detail)
+        proxy = self._proxy_at(key, detail)
         same_scene = [
             (abs(d - key[1]), d)
             for (scene, d) in self._observed
@@ -346,7 +357,7 @@ class StreamScheduler:
             for plan in self._undone.values():
                 if not plan.active:
                     continue
-                key = (plan.session.scene, detail_key(plan.current_detail))
+                key = plan.key
                 estimate = estimates.get(key)
                 if estimate is None:
                     estimate = estimates[key] = self.frame_estimate(plan.session)
@@ -364,19 +375,25 @@ class StreamScheduler:
         server forwards it from the frame record so adaptive sessions
         re-key their estimates as the QoS controller moves, instead of
         poisoning the nominal-detail entry with off-rung latencies.
+
+        The plan's key is recomputed only when the detail changes, and
+        a key's first frame is the only one that can add an estimate,
+        so a frame at an unchanged detail costs no key and no lookup.
         """
         plan = self._plans[session_id]
         plan.frames_done += 1
         self.busy_seconds[plan.worker] += float(sim_seconds)
         self._cost_cache = None
-        if detail is None:
-            detail = plan.current_detail
-        else:
+        if detail is not None and detail != plan.current_detail:
             plan.current_detail = float(detail)
-        self._proxy_for(plan.session.scene, detail)
-        self._observed.setdefault(
-            (plan.session.scene, detail_key(detail)), float(sim_seconds)
-        )
+            key = (plan.session.scene, detail_key(detail))
+            if key != plan.key:
+                plan.key = key
+                plan.observed = False
+            self._proxy_at(key, detail)
+        if not plan.observed:
+            plan.observed = True
+            self._observed.setdefault(plan.key, float(sim_seconds))
 
     def mark_done(self, session_id: str) -> list[str]:
         """Drop a finished session from future ticks; admit queued ones."""
@@ -483,11 +500,12 @@ class LoadAwareScheduler(StreamScheduler):
         )
 
     def _admission_order(self, sessions: list["StreamSession"]) -> list[str]:
+        plans = self._plans
         order = sorted(
             range(len(sessions)),
             key=lambda i: (
                 -sessions[i].frame_budget
-                * self._proxy_for(sessions[i].scene, sessions[i].detail),
+                * self._proxy[plans[sessions[i].session_id].key],
                 i,
             ),
         )

@@ -19,11 +19,15 @@ A :class:`StreamServer` multiplexes N concurrent client sessions
   arrival order, ``"load"`` cost-based).  Workers report
   budget-exhausted sessions back, so finished streams stop costing a
   dispatch per tick.
-* **Fault tolerance** — every successful tick returns per-session
-  :class:`~repro.stream.checkpoint.SessionCheckpoint` snapshots.  When
-  a worker dies mid-serve (``BrokenProcessPool``, or an injected fault
-  in the deterministic modes) the server respawns the worker, replays
-  the checkpoints of its unfinished sessions, and re-renders the lost
+* **Fault tolerance** — a subprocess worker ships a
+  :class:`~repro.stream.checkpoint.SessionCheckpoint` per rendered
+  session with every successful tick, since it can die on its own.
+  An in-process worker (``workers=0`` or ``local=True``) ships none:
+  the server cuts a checkpoint from its live stream only when
+  extract, migrate or recover asks for one.  When a worker dies
+  mid-serve (``BrokenProcessPool``, or an injected fault in the
+  deterministic modes) the server respawns the worker, replays the
+  checkpoints of its unfinished sessions, and re-renders the lost
   tick — recovered sessions produce frames byte-identical to an
   uninterrupted run.  The same replay machinery powers load
   rebalancing migrations.
@@ -61,7 +65,8 @@ A live session is one entry on each side of the worker boundary, and
 every lifecycle path adds, moves or drops whole entries:
 
 * **Server** (``_Live``: descriptor, report with completion stamps,
-  latest checkpoint, ``shipped`` flag) — added by ``begin``,
+  latest shipped or injected checkpoint, a finished in-process
+  stream's final state, ``shipped`` flag) — added by ``begin``,
   ``submit`` and ``inject_session``; ``step`` fills it; handed to
   another server by ``extract_session``; published and dropped by
   ``finish``.
@@ -88,7 +93,7 @@ from typing import Callable, NamedTuple
 from repro.core.gbu import GBUConfig, GBUDevice
 from repro.core.reuse_cache import CacheEconomics
 from repro.errors import SimulationError, ValidationError
-from repro.scenes import BundleCache
+from repro.scenes import BundleCache, SceneSpec
 from repro.scenes.catalog import CATALOG
 from repro.stream.checkpoint import (
     SessionCheckpoint,
@@ -285,6 +290,35 @@ class _Hosted(NamedTuple):
     view: SessionContentView | None
 
 
+class _Retired(NamedTuple):
+    """What :func:`~repro.stream.checkpoint.capture_checkpoint` reads
+    of a finished stream.
+
+    An in-process worker keeps this instead of a final checkpoint, so a
+    finished session can still be extracted without a capture per
+    session or the stream's scene bundle staying alive.  Nothing
+    advances these objects once the stream is done.
+    """
+
+    spec: SceneSpec
+    detail: float
+    frames_rendered: int
+    cache_state: object
+    active_detail: float
+    controller: QualityController | None
+
+    @classmethod
+    def of(cls, stream: FramePipeline) -> "_Retired":
+        return cls(
+            stream.spec,
+            stream.detail,
+            stream.frames_rendered,
+            stream.cache_state,
+            stream.active_detail,
+            stream.controller,
+        )
+
+
 class _WorkerState:
     """Per-worker serving state: one device, shared bundles, and one
     :class:`_Hosted` entry per session in ``hosted``.
@@ -293,7 +327,13 @@ class _WorkerState:
     keyed ``(scene, detail)``: adaptive-quality sessions touch one
     bundle per detail rung they visit, so an unbounded mapping would
     grow for the lifetime of the worker.
+
+    This is the subprocess worker: it can die on its own, so every
+    rendered frame ships the session's checkpoint in
+    :attr:`TickResult.checkpoints`.
     """
+
+    ships_checkpoints = True
 
     def __init__(
         self,
@@ -310,6 +350,9 @@ class _WorkerState:
         )
         self.models = models
         self.hosted: dict[str, _Hosted] = {}
+        #: Sessions this tick finished, when checkpoints are not
+        #: shipped; the server takes them after every tick.
+        self.retired: dict[str, _Retired] = {}
         # Content-addressed render cache: this worker owns the worker
         # tier (chained to the server's node tier when in-process; a
         # subprocess worker's chain ends here) and one session tier per
@@ -331,6 +374,7 @@ class _WorkerState:
         else:
             self.bundles.clear()
         self.hosted.clear()
+        self.retired.clear()
         if self.content_config is not None:
             self.worker_tier = CacheTier(
                 "worker",
@@ -407,10 +451,12 @@ class _WorkerState:
         a :class:`ValidationError`.  Budget-exhausted sessions render
         nothing and are reported in ``done`` so the scheduler stops
         dispatching them.  A session reported ``done`` is released
-        here: its entry leaves this worker.
+        here: its entry leaves this worker (for ``retired`` when no
+        checkpoints are shipped).
         """
         result = TickResult()
         hosted_by_id = self.hosted
+        ships_checkpoints = self.ships_checkpoints
         for session in sessions:
             session_id = session if isinstance(session, str) else session.session_id
             hosted = hosted_by_id.get(session_id)
@@ -424,14 +470,17 @@ class _WorkerState:
             stream = hosted.stream
             if stream.frames_rendered < hosted.budget:
                 result.frames.append((session_id, stream.render_next()))
-                result.checkpoints[session_id] = capture_checkpoint(
-                    session_id, stream
-                )
+                if ships_checkpoints:
+                    result.checkpoints[session_id] = capture_checkpoint(
+                        session_id, stream
+                    )
                 if hosted.view is not None:
                     merge_economics(result.content, hosted.view.drain())
             if stream.frames_rendered >= hosted.budget:
                 result.done.append(session_id)
                 del hosted_by_id[session_id]
+                if not ships_checkpoints:
+                    self.retired[session_id] = _Retired.of(stream)
         return result
 
     def restore_sessions(
@@ -461,6 +510,19 @@ class _WorkerState:
         """Forget sessions that moved to another worker or server."""
         for session_id in session_ids:
             self.hosted.pop(session_id, None)
+
+
+class _InProcessWorker(_WorkerState):
+    """A worker state in the server's own process (``workers=0`` or
+    ``local=True``).
+
+    It loses nothing between ticks unless the server loses it too, so
+    it ships no checkpoints: the server cuts one from the live stream
+    (or from a finished session's :class:`_Retired` state) when
+    extract, migrate or recover asks for it.
+    """
+
+    ships_checkpoints = False
 
 
 _STATE: _WorkerState | None = None
@@ -515,15 +577,20 @@ class _Live:
     """One session of the open serve, as the server tracks it.
 
     ``report`` accumulates the frames streamed so far and their
-    completion stamps; ``checkpoint`` is the latest one a worker
-    shipped back (``None`` before the first frame); ``shipped`` is set
-    once the hosting worker holds the full descriptor, so later ticks
-    send only the id.
+    completion stamps.  ``checkpoint`` is the latest one a subprocess
+    worker shipped back with a frame, or the one the session was
+    injected with (``None`` before either).  An in-process worker
+    ships none; :meth:`StreamServer._checkpoint_of` cuts one from its
+    live stream, or from ``retired`` — the final state of a session it
+    finished — when extract, migrate or recover asks.  ``shipped`` is
+    set once the hosting worker holds the full descriptor, so later
+    ticks send only the id.
     """
 
     session: StreamSession
     report: StreamReport
     checkpoint: SessionCheckpoint | None = None
+    retired: _Retired | None = None
     shipped: bool = False
 
 
@@ -683,7 +750,7 @@ class StreamServer:
             self._executors.append(ProcessPoolExecutor(max_workers=1))
 
     def _new_local_state(self) -> _WorkerState:
-        return _WorkerState(
+        return _InProcessWorker(
             bundle_cache_size=self.bundle_cache_size,
             content=self.content_cache,
             content_parent=self._node_tier,
@@ -780,8 +847,9 @@ class StreamServer:
 
         Returns the tick's merged :class:`TickResult` (empty when
         every session has drained — the caller's stop signal).  The
-        merged result carries no checkpoints: each session's latest
-        one is kept on its server entry instead.
+        merged result carries no checkpoints: a subprocess worker's
+        are kept on each session's server entry instead, and an
+        in-process worker ships none.
         """
         if not self.serving:
             raise ValidationError("step requires an open serve (begin first)")
@@ -851,12 +919,13 @@ class StreamServer:
         if not self.serving:
             raise ValidationError("extract requires an open serve")
         entry = self._entry(session_id)
-        del self._live[session_id]
         worker = self._scheduler.worker_of(session_id)  # -1: still queued
+        checkpoint = self._checkpoint_of(worker, entry)
+        del self._live[session_id]
         self._scheduler.remove_session(session_id)
         if worker >= 0:
             self._call(worker, "drop_sessions", [session_id])
-        return entry.session, entry.checkpoint, entry.report
+        return entry.session, checkpoint, entry.report
 
     def inject_session(
         self,
@@ -1062,7 +1131,7 @@ class StreamServer:
             # Keep checkpoints immediately: if a *later* batch of the
             # same worker crashed, recovery must replay this batch's
             # sessions from their post-tick state, not last tick's.
-            self._keep_checkpoints(result)
+            self._keep_checkpoints(w, result)
             results.append(result)
         for w, batches in sorted(failed.items()):
             self._recover_worker(w)
@@ -1080,15 +1149,40 @@ class StreamServer:
                         break
                     except BrokenProcessPool:
                         self._recover_worker(w)
-                self._keep_checkpoints(result)
+                self._keep_checkpoints(w, result)
                 results.append(result)
         return results
 
-    def _keep_checkpoints(self, result: TickResult) -> None:
-        """Make each rendered session's new checkpoint its latest."""
+    def _keep_checkpoints(self, worker: int, result: TickResult) -> None:
+        """Make each rendered session's shipped checkpoint its latest,
+        and keep the final state of each session an in-process worker
+        finished."""
         live = self._live
         for session_id, checkpoint in result.checkpoints.items():
             live[session_id].checkpoint = checkpoint
+        if self.local:
+            retired = self._local_states[worker].retired
+            for session_id in result.done:
+                live[session_id].retired = retired.pop(session_id)
+
+    def _checkpoint_of(
+        self, worker: int, entry: _Live
+    ) -> SessionCheckpoint | None:
+        """The session's checkpoint as of its latest frame.
+
+        A subprocess worker shipped it with that frame.  An in-process
+        worker is read directly: the checkpoint is cut now from the
+        stream ``worker`` hosts, or from the session's retired state.
+        A stream with no frame behind it keeps the stored checkpoint.
+        """
+        if not self.local or worker < 0:
+            return entry.checkpoint
+        session_id = entry.session.session_id
+        hosted = self._local_states[worker].hosted.get(session_id)
+        stream = entry.retired if hosted is None else hosted.stream
+        if stream is None or stream.frames_rendered == 0:
+            return entry.checkpoint
+        return capture_checkpoint(session_id, stream)
 
     def _dispatch(self, worker: int, method: str, *args):
         """Run a :class:`_WorkerState` method on ``worker``: an
@@ -1129,6 +1223,16 @@ class StreamServer:
                 f"worker {worker} crashed beyond the respawn budget "
                 f"({self.max_respawns}); giving up"
             )
+        entries = [
+            self._live[session.session_id]
+            for session in self._scheduler.active_on(worker)
+        ]
+        # An in-process worker's checkpoints are cut from the state
+        # about to be replaced, so before the respawn.
+        payload = [
+            (entry.session, self._checkpoint_of(worker, entry))
+            for entry in entries
+        ]
         if self.local:
             # A crashed worker loses its worker-tier cache along with
             # everything else; the node tier survives on the server, so
@@ -1137,27 +1241,20 @@ class StreamServer:
         else:
             self._executors[worker].shutdown(wait=False)
             self._executors[worker] = ProcessPoolExecutor(max_workers=1)
-        entries = [
-            self._live[session.session_id]
-            for session in self._scheduler.active_on(worker)
-        ]
-        if entries:
-            self._call(
-                worker,
-                "restore_sessions",
-                [(entry.session, entry.checkpoint) for entry in entries],
-            )
+        if payload:
+            self._call(worker, "restore_sessions", payload)
             for entry in entries:
                 entry.shipped = True
 
     def _apply_migrations(self) -> None:
         for migration in self._scheduler.rebalance():
             entry = self._live[migration.session_id]
+            checkpoint = self._checkpoint_of(migration.src, entry)
             self._call(migration.src, "drop_sessions", [migration.session_id])
             self._call(
                 migration.dst,
                 "restore_sessions",
-                [(entry.session, entry.checkpoint)],
+                [(entry.session, checkpoint)],
             )
             entry.shipped = True
             self.migrations.append(migration)

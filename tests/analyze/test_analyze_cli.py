@@ -22,14 +22,38 @@ def _run(*args, cwd=REPO_ROOT):
     )
 
 
-def test_cli_clean_tree_exits_zero():
-    proc = _run()
+@pytest.fixture
+def clean_tree(tmp_path):
+    """A small tree with nothing to report: a sim module and its test.
+    The live tree's own scan is ``test_self_check.py``'s (and CI's
+    ``analyze`` job's)."""
+    module = tmp_path / "src" / "repro" / "clean.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(
+        '"""Seeded, import-clean fixture module."""\n'
+        "import numpy as np\n\n\n"
+        "def draw(seed: int) -> float:\n"
+        "    return float(np.random.default_rng(seed).random())\n"
+    )
+    test = tmp_path / "tests" / "test_clean.py"
+    test.parent.mkdir()
+    test.write_text(
+        '"""Fixture test."""\n'
+        "from repro.clean import draw\n\n\n"
+        "def test_draw():\n"
+        "    assert draw(0) == draw(0)\n"
+    )
+    return [str(module.parent.parent), str(test.parent)]
+
+
+def test_cli_clean_tree_exits_zero(clean_tree):
+    proc = _run(*clean_tree)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "analyze OK" in proc.stdout
 
 
-def test_cli_json_output_shape():
-    proc = _run("--json")
+def test_cli_json_output_shape(clean_tree):
+    proc = _run(*clean_tree, "--json")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     data = json.loads(proc.stdout)
     assert data["ok"] is True

@@ -8,10 +8,13 @@ from repro.stream import (
     CameraTrajectory,
     LoadAwareScheduler,
     RoundRobinScheduler,
+    StreamServer,
     StreamSession,
     make_scheduler,
     static_frame_estimate,
 )
+from repro.stream import scheduler as scheduler_module
+from repro.stream.qos import detail_key
 
 DETAIL = 0.25
 
@@ -240,3 +243,101 @@ def test_factory_builds_both_policies():
     sessions = _skewed_mix()
     assert isinstance(make_scheduler("rr", sessions, 2), RoundRobinScheduler)
     assert isinstance(make_scheduler("load", sessions, 2), LoadAwareScheduler)
+
+
+# ----------------------------------------------------------------------
+# Per-frame bookkeeping: one detail key per plan and rung
+# ----------------------------------------------------------------------
+@pytest.fixture
+def detail_keys(monkeypatch):
+    """Details the scheduler computed a ``detail_key`` for."""
+    calls = []
+
+    def counting(detail):
+        calls.append(detail)
+        return detail_key(detail)
+
+    monkeypatch.setattr(scheduler_module, "detail_key", counting)
+    return calls
+
+
+def test_fixed_detail_frames_key_each_plan_once(detail_keys):
+    """10^3 frames per session at an unchanged detail under ``rr``: the
+    only key a plan computes is the one it is registered with."""
+    sessions = [
+        StreamSession(
+            session.session_id,
+            session.scene,
+            session.trajectory,
+            n_frames=1000,
+            detail=DETAIL,
+        )
+        for session in _skewed_mix()
+    ]
+    scheduler = make_scheduler("rr", sessions, workers=2)
+    for _ in range(1000):
+        for session in sessions:
+            scheduler.observe_frame(session.session_id, 1e-3, detail=DETAIL)
+    assert len(detail_keys) == len(sessions)
+
+
+def test_rung_changes_key_a_plan_once_each(detail_keys):
+    """A QoS-adaptive session keys once more per rung change, a return
+    to an earlier rung included."""
+    rungs = [DETAIL] * 10 + [0.1875] * 5 + [0.2] * 5 + [DETAIL] * 3
+    scheduler = make_scheduler("rr", [_session("adaptive", "bicycle", 40)], 1)
+    for detail in rungs:
+        scheduler.observe_frame("adaptive", 1e-3, detail=detail)
+    assert len(detail_keys) == 1 + 3
+
+
+def _qos_mix():
+    return [
+        StreamSession(
+            session.session_id,
+            session.scene,
+            session.trajectory,
+            detail=DETAIL,
+            target_fps=300.0,
+        )
+        for session in _skewed_mix()
+    ]
+
+
+def test_estimate_tables_match_the_per_frame_rule():
+    """After a QoS-adaptive ``load`` serve, ``_proxy`` and ``_observed``
+    hold, in order, what keying every frame would have built: each
+    session's nominal detail at registration, then every frame's
+    rendered detail, the first frame at a key setting its estimate."""
+    sessions = _qos_mix()
+    ticks = []
+    with StreamServer(workers=2, local=True, placement="load") as server:
+        server.begin(sessions)
+        while server.n_active:
+            ticks.append(server.step().frames)
+        scheduler = server._scheduler
+        proxy, observed = dict(scheduler._proxy), dict(scheduler._observed)
+        server.finish()
+
+    scenes = {s.session_id: s.scene for s in sessions}
+    want_proxy, want_observed = {}, {}
+
+    def proxy_for(scene, detail):
+        want_proxy.setdefault(
+            (scene, detail_key(detail)), static_frame_estimate(scene, detail)
+        )
+
+    for session in sessions:
+        proxy_for(session.scene, session.detail)
+    details = set()
+    for frames in ticks:
+        for session_id, record in frames:
+            scene = scenes[session_id]
+            proxy_for(scene, record.detail)
+            want_observed.setdefault(
+                (scene, detail_key(record.detail)), float(record.sim_seconds)
+            )
+            details.add(record.detail)
+    assert len(details) > 2, "the controllers never changed rung"
+    assert list(proxy.items()) == list(want_proxy.items())
+    assert list(observed.items()) == list(want_observed.items())

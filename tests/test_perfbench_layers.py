@@ -10,7 +10,9 @@ A wrapper can also install and still never fire: ``layers.py`` wraps
 module globals such as ``repro.core.gbu.render_irss``, and a caller
 that stops going through that global leaves its span silently empty.
 So the probe serves one tiny exact session under the wrappers and
-checks that every render-stack and server span was entered.
+checks that every render-stack and server span was entered.  The
+session is extracted and injected back after its first frame: that is
+when an in-process server captures a checkpoint.
 """
 
 import json
@@ -37,7 +39,13 @@ trajectory = CameraTrajectory.for_scene(
     CATALOG["nerf_lego"], "orbit", n_frames=2, detail=0.25
 )
 with StreamServer(workers=0) as server:
-    server.serve([StreamSession("probe", "nerf_lego", trajectory, detail=0.25)])
+    server.begin([StreamSession("probe", "nerf_lego", trajectory, detail=0.25)])
+    server.step()
+    # An in-process worker cuts a checkpoint only when one is asked for.
+    server.inject_session(*server.extract_session("probe"))
+    while server.n_active:
+        server.step()
+    server.finish()
 tracer.uninstall()
 print(json.dumps({name: calls for name, (_, _, calls) in tracer.totals().items()}))
 """
